@@ -3,26 +3,14 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 THREADS_ENV_VAR = "SIMPLICENT_THREADS"
 
 
 def default_threads() -> int:
-    """Worker count from the environment, defaulting to 1."""
+    """Worker count from the environment, defaulting to 1.  The value is
+    accepted and echoed in output metadata; every kernel runs in one thread."""
     try:
         return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
     except ValueError:
         return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Map preserving input order; results are identical for any thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

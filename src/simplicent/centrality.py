@@ -2,9 +2,9 @@
 
 Every measure is evaluated on the combined level-k adjacency.  The
 shortest-path family (degree, closeness, harmonic closeness, betweenness)
-runs per-source traversals; the spectral family (Katz, eigenvector,
-subgraph centrality, communicability) works on the same matrix through its
-eigendecomposition:
+calls the block-of-sources traversal kernels of :mod:`simplicent.paths`;
+the spectral family (Katz, eigenvector, subgraph centrality,
+communicability) works on the same matrix through its eigendecomposition:
 
 * Katz solves ``(I - alpha*A) x = 1`` for ``0 < alpha < 1/lambda_1``,
 * eigenvector centrality is the principal eigenvector of ``A``,
@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh, spsolve
 
-from ._util import parallel_map
 from .adjacency import combined_adjacency
 from .complexes import CliqueComplex
 from .errors import NonConvergenceError
-from .paths import bfs_distances, components_of
+from .paths import components_of, distance_blocks, pair_dependencies
 
 DEFAULT_DENSE_LIMIT = 5_000
 
@@ -76,7 +75,7 @@ def degree_centrality(c: CliqueComplex, k: int) -> CentralityVector:
     return CentralityVector(k, "degree", adj.degrees())
 
 
-def closeness(c: CliqueComplex, k: int, normalized: bool = True, threads: int = 1) -> CentralityVector:
+def closeness(c: CliqueComplex, k: int, normalized: bool = True) -> CentralityVector:
     """Reciprocal of the summed distances to the other simplices.
 
     Evaluated within each connected component; the normalized variant
@@ -85,36 +84,28 @@ def closeness(c: CliqueComplex, k: int, normalized: bool = True, threads: int = 
     """
     adj = combined_adjacency(c, k)
     labeling = components_of(adj)
-    sizes = labeling.sizes
-
-    def score(s: int) -> float:
-        size = sizes[labeling.labels[s]]
-        if size < 2:
-            return 0.0
-        row = bfs_distances(adj.mat, s)
-        farness = float(row[np.isfinite(row)].sum())
-        return (size - 1) / farness if normalized else 1.0 / farness
-
-    scores = np.array(parallel_map(score, range(adj.n), threads))
+    reach = np.asarray(labeling.sizes, dtype=np.float64)[labeling.labels] - 1.0
+    scores = np.zeros(adj.n)
+    for block, rows in distance_blocks(adj.mat):
+        farness = np.where(np.isfinite(rows), rows, 0.0).sum(axis=1)
+        numerator = reach[block] if normalized else 1.0
+        scores[block] = np.divide(numerator, farness, out=np.zeros_like(farness), where=reach[block] > 0)
     note = "per-component; singleton components scored 0"
     return CentralityVector(k, "closeness", scores, normalized=normalized, note=note)
 
 
-def harmonic_closeness(c: CliqueComplex, k: int, threads: int = 1) -> CentralityVector:
+def harmonic_closeness(c: CliqueComplex, k: int) -> CentralityVector:
     """Sum of reciprocal distances to all other simplices (1/inf == 0), which
     stays well defined on disconnected levels."""
     adj = combined_adjacency(c, k)
-
-    def score(s: int) -> float:
-        row = bfs_distances(adj.mat, s)
-        others = row > 0  # excludes self, keeps unreachable as inf
-        return float((1.0 / row[others]).sum())
-
-    scores = np.array(parallel_map(score, range(adj.n), threads))
+    scores = np.zeros(adj.n)
+    for block, rows in distance_blocks(adj.mat):
+        inverse = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0)
+        scores[block] = inverse.sum(axis=1)
     return CentralityVector(k, "harmonic", scores)
 
 
-def betweenness(c: CliqueComplex, k: int, normalized: bool = True, threads: int = 1) -> CentralityVector:
+def betweenness(c: CliqueComplex, k: int, normalized: bool = True) -> CentralityVector:
     """Fraction of shortest paths between other simplex pairs passing through
     each simplex (unordered pairs, endpoints excluded), accumulated with
     Brandes' dependency recursion.  Pairs in different components contribute
@@ -124,37 +115,7 @@ def betweenness(c: CliqueComplex, k: int, normalized: bool = True, threads: int 
     n = adj.n
     if normalized and n < 3:
         raise ValueError("normalized betweenness needs at least 3 simplices")
-    indptr, indices = adj.mat.indptr, adj.mat.indices
-
-    def source_dependencies(s: int) -> np.ndarray:
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma = np.zeros(n)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1.0
-        order = [s]
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    order.append(int(v))
-                if dist[v] == dist[u] + 1:
-                    sigma[v] += sigma[u]
-                    preds[v].append(u)
-        delta = np.zeros(n)
-        for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
-        delta[s] = 0.0
-        return delta
-
-    accum = np.zeros(n)
-    for delta in parallel_map(source_dependencies, range(n), threads):
-        accum += delta
-    g = accum / 2.0  # each unordered pair was seen from both endpoints
+    g = pair_dependencies(adj.mat) / 2.0  # each unordered pair was seen from both endpoints
     if normalized:
         g = g / ((n - 1) * (n - 2) / 2.0)
     return CentralityVector(k, "betweenness", g, normalized=normalized)
@@ -291,7 +252,6 @@ def subgraph_centrality(
     method: str = "auto",
     dense_limit: int = DEFAULT_DENSE_LIMIT,
     series_tol: float = 1e-8,
-    threads: int = 1,
 ) -> CentralityVector:
     """Diagonal of ``exp(A)`` at level k: the closed-walk weight of each
     simplex, with short walks weighted most.  Isolated simplices score 1.
@@ -329,7 +289,7 @@ def subgraph_centrality(
             total += term[i]
         return total
 
-    scores = np.array(parallel_map(diag_entry, range(n), threads))
+    scores = np.array([diag_entry(i) for i in range(n)])
     return CentralityVector(
         k, "subgraph", scores, params={"method": "series", "order": order}
     )
@@ -355,19 +315,23 @@ def compute(
     dense_limit: int = DEFAULT_DENSE_LIMIT,
     threads: int = 1,
 ) -> CentralityVector:
-    """Dispatch a measure by name (see :data:`MEASURES`)."""
+    """Dispatch a measure by name (see :data:`MEASURES`).
+
+    ``threads`` is accepted for compatibility and has no effect: every
+    measure runs in one thread.
+    """
     if measure == "degree":
         return degree_centrality(c, k)
     if measure == "closeness":
-        return closeness(c, k, normalized=normalized, threads=threads)
+        return closeness(c, k, normalized=normalized)
     if measure == "harmonic":
-        return harmonic_closeness(c, k, threads=threads)
+        return harmonic_closeness(c, k)
     if measure == "betweenness":
-        return betweenness(c, k, normalized=normalized, threads=threads)
+        return betweenness(c, k, normalized=normalized)
     if measure == "katz":
         return katz(c, k, alpha=alpha, dense_limit=dense_limit)
     if measure == "eigenvector":
         return eigenvector_centrality(c, k, dense_limit=dense_limit)
     if measure == "subgraph":
-        return subgraph_centrality(c, k, dense_limit=dense_limit, threads=threads)
+        return subgraph_centrality(c, k, dense_limit=dense_limit)
     raise ValueError(f"unknown measure {measure!r}; known: {', '.join(MEASURES)}")

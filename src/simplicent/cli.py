@@ -39,7 +39,7 @@ from .essential import (
     rank_nodes,
     read_annotations,
 )
-from .paths import DEFAULT_MATRIX_LIMIT, level_summary
+from .paths import level_summary
 from .stats import FAMILIES, correlation_table, degree_distribution, fit_all, select_model
 
 LEVEL_NAMES = {0: "nodes", 1: "edges", 2: "triangles", 3: "tetrahedra"}
@@ -65,7 +65,6 @@ class RunConfig:
     annotations: str | None = None
     threads: int = 1
     dense_limit: int = DEFAULT_DENSE_LIMIT
-    matrix_limit: int = DEFAULT_MATRIX_LIMIT
 
     def validate(self) -> None:
         if self.format not in ("csv", "json"):
@@ -185,7 +184,6 @@ def _cmd_centrality(cfg: RunConfig) -> int:
                 normalized=cfg.normalized,
                 alpha=cfg.alpha,
                 dense_limit=cfg.dense_limit,
-                threads=cfg.threads,
             )
             for m in cfg.measures
         ]
@@ -201,7 +199,7 @@ def _cmd_distance(cfg: RunConfig) -> int:
     c = _load_complex(cfg)
     rows = []
     for k in cfg.levels:
-        summary = level_summary(c, k, threads=cfg.threads)
+        summary = level_summary(c, k)
         sizes = "+".join(str(s) for s in sorted(summary.component_sizes, reverse=True))
         lks = ";".join(_fmt(v) for v in summary.avg_path_lengths)
         print(
@@ -215,6 +213,9 @@ def _cmd_distance(cfg: RunConfig) -> int:
 
 
 def _cmd_fit_degree(cfg: RunConfig) -> int:
+    if len(cfg.levels) > 1:
+        levels = ",".join(str(k) for k in cfg.levels)
+        raise ValueError(f"fit-degree fits one level per run; got --level {levels}")
     c = _load_complex(cfg)
     k = cfg.levels[0] if cfg.levels else 0
     dist = degree_distribution(c, k)
@@ -257,7 +258,6 @@ def _cmd_correlate(cfg: RunConfig) -> int:
         measures=tuple(cfg.measures),
         levels=tuple(cfg.levels),
         dense_limit=cfg.dense_limit,
-        threads=cfg.threads,
     )
     rows = [
         [label] + [table.matrix[i, j] for j in range(len(table.labels))]
@@ -280,7 +280,7 @@ def _cmd_essential(cfg: RunConfig) -> int:
     rows = []
     for k in cfg.levels:
         for m in cfg.measures:
-            vec = compute(c, k, m, dense_limit=cfg.dense_limit, threads=cfg.threads)
+            vec = compute(c, k, m, dense_limit=cfg.dense_limit)
             node_vec = vec if k == 0 else project_to_nodes(c, vec)
             curve = detection_curve(rank_nodes(node_vec), flags, grid, measure=m)
             for x, count, pct in zip(curve.grid, curve.counts, curve.percentages):
@@ -331,9 +331,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     parser.add_argument("-o", "--output", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker threads (default ${THREADS_ENV_VAR} or 1)")
+                        help=f"accepted and echoed, no effect (default ${THREADS_ENV_VAR} or 1)")
     parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit")
-    parser.add_argument("--matrix-limit", type=int, default=DEFAULT_MATRIX_LIMIT, dest="matrix_limit")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,7 +409,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         annotations=getattr(args, "annotations", None),
         threads=getattr(args, "threads", None) or default_threads(),
         dense_limit=getattr(args, "dense_limit", DEFAULT_DENSE_LIMIT),
-        matrix_limit=getattr(args, "matrix_limit", DEFAULT_MATRIX_LIMIT),
     )
     cfg.validate()
     return cfg

@@ -6,40 +6,87 @@ alternating simplex/face walk, so the graph distance and the simplicial
 distance coincide.  Unreachable pairs are at distance ``inf`` -- a real
 IEEE infinity, never a large stand-in, so that ``1/inf == 0`` holds exactly
 where harmonic sums need it.
+
+Every traversal works on blocks of at most ``BLOCK_SIZE`` sources at a time,
+so its memory stays near ``BLOCK_SIZE * n`` floats: :func:`distance_blocks`
+yields breadth-first distance rows from ``scipy.sparse.csgraph``, and
+:func:`pair_dependencies` runs Brandes' dependency recursion level by level
+as sparse-times-dense products over the block.  Components come from
+``csgraph.connected_components``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from ._util import parallel_map
 from .adjacency import LevelAdjacency, combined_adjacency
 from .complexes import CliqueComplex
 
 DEFAULT_MATRIX_LIMIT = 20_000
+BLOCK_SIZE = 64  # sources per traversal block
 
 
-def bfs_distances(mat, source: int) -> np.ndarray:
-    """Distances from ``source`` on a CSR adjacency; unreachable -> inf."""
+def _source_blocks(n: int) -> Iterator[np.ndarray]:
+    for start in range(0, n, BLOCK_SIZE):
+        yield np.arange(start, min(start + BLOCK_SIZE, n))
+
+
+def distance_blocks(mat) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(sources, rows)`` over consecutive blocks of sources, where
+    ``rows[i]`` holds the distances from ``sources[i]`` (unreachable -> inf).
+
+    ``mat`` must be symmetric, as every level adjacency is: the directed
+    search then gives the undirected distances without the symmetrized copy
+    ``directed=False`` would build for every block.
+    """
+    mat = mat.astype(np.float64)
+    for block in _source_blocks(mat.shape[0]):
+        yield block, csgraph.shortest_path(mat, directed=True, unweighted=True, indices=block)
+
+
+def pair_dependencies(mat) -> np.ndarray:
+    """Brandes dependency of every vertex summed over all sources: entry v is
+    the sum over ordered pairs (s, t), s != v != t, of the share of shortest
+    s-t paths through v.
+
+    Per block of sources, the forward sweep counts shortest paths ``sigma``
+    one depth at a time (``A @ frontier``, masked to unvisited vertices);
+    the backward sweep, from the deepest depth d up, adds
+    ``sigma_v * (A @ ((1 + delta) / sigma at depth d))_v`` to every v at
+    depth d-1.
+    """
     n = mat.shape[0]
-    indptr, indices = mat.indptr, mat.indices
-    dist = np.full(n, np.inf)
-    dist[source] = 0.0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if dist[v] == np.inf:
-                    dist[v] = d
-                    nxt.append(int(v))
-        frontier = nxt
-    return dist
+    a = mat.astype(np.float64)
+    total = np.zeros(n)
+    for block in _source_blocks(n):
+        cols = np.arange(block.size)
+        sigma = np.zeros((n, block.size))
+        sigma[block, cols] = 1.0
+        depth = np.full((n, block.size), -1, dtype=np.int32)
+        depth[block, cols] = 0
+        frontier, d = sigma, 0
+        while True:
+            frontier = a @ frontier
+            frontier[depth >= 0] = 0.0
+            reached = frontier > 0
+            if not reached.any():
+                break
+            d += 1
+            depth[reached] = d
+            sigma += frontier
+        delta = np.zeros((n, block.size))
+        while d > 1:  # depth 0 (the source) takes no dependency
+            share = np.divide(1.0 + delta, sigma, out=np.zeros_like(sigma), where=depth == d)
+            d -= 1
+            parents = depth == d
+            delta[parents] += (sigma * (a @ share))[parents]
+        total += delta.sum(axis=1)
+    return total
 
 
 @dataclass(eq=False)
@@ -67,20 +114,20 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-def shortest_distances(
-    c: CliqueComplex, k: int, max_size: int = DEFAULT_MATRIX_LIMIT, threads: int = 1
-) -> DistanceMatrix:
+def shortest_distances(c: CliqueComplex, k: int, max_size: int = DEFAULT_MATRIX_LIMIT) -> DistanceMatrix:
     """Materialize the full level-k distance matrix (guarded by ``max_size``;
-    use the per-source helpers for very large levels)."""
+    :func:`level_summary` streams the summaries of very large levels)."""
     adj = combined_adjacency(c, k)
     n = adj.n
     if n > max_size:
         raise ValueError(
             f"level {k} has {n} simplices, above the matrix materialization "
-            f"limit {max_size}; raise the limit or stream per-source BFS"
+            f"limit {max_size}; raise the limit or use level_summary, which "
+            f"keeps no full matrix"
         )
-    rows = parallel_map(lambda s: bfs_distances(adj.mat, s), range(n), threads)
-    dist = np.array(rows).reshape(n, n) if n else np.zeros((0, 0))
+    dist = np.empty((n, n))
+    for block, rows in distance_blocks(adj.mat):
+        dist[block] = rows
     return DistanceMatrix(k, dist)
 
 
@@ -91,26 +138,10 @@ def connected_components(c: CliqueComplex, k: int) -> ComponentLabeling:
 
 
 def components_of(adj: LevelAdjacency) -> ComponentLabeling:
-    n = adj.n
-    labels = np.full(n, -1, dtype=np.int64)
-    sizes: list[int] = []
-    indptr, indices = adj.mat.indptr, adj.mat.indices
-    for start in range(n):
-        if labels[start] >= 0:
-            continue
-        comp = len(sizes)
-        labels[start] = comp
-        stack = [start]
-        size = 1
-        while stack:
-            u = stack.pop()
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if labels[v] < 0:
-                    labels[v] = comp
-                    size += 1
-                    stack.append(int(v))
-        sizes.append(size)
-    return ComponentLabeling(adj.level, labels, sizes)
+    """Component labels numbered in order of each component's lowest ID, the
+    order in which ``csgraph`` meets them."""
+    count, labels = csgraph.connected_components(adj.mat, directed=False)
+    return ComponentLabeling(adj.level, labels.astype(np.int64), np.bincount(labels, minlength=count).tolist())
 
 
 def eccentricity(d: DistanceMatrix, i: int) -> float:
@@ -174,26 +205,21 @@ class LevelPathSummary:
     eccentricities: np.ndarray
 
 
-def level_summary(c: CliqueComplex, k: int, threads: int = 1) -> LevelPathSummary:
+def level_summary(c: CliqueComplex, k: int) -> LevelPathSummary:
     """Component count/sizes, diameter, per-component average path length and
-    all eccentricities at level k, via per-source traversals."""
+    all eccentricities at level k, one block of distance rows at a time."""
     adj = combined_adjacency(c, k)
     labeling = components_of(adj)
     n = adj.n
     ecc = np.zeros(n)
-    comp_sums = [0.0] * labeling.n_components
-
-    def row_stats(s: int) -> tuple[float, float]:
-        row = bfs_distances(adj.mat, s)
-        finite = row[np.isfinite(row)]
-        return float(finite.max()), float(finite.sum())
-
-    for s, (e, total) in enumerate(parallel_map(row_stats, range(n), threads)):
-        ecc[s] = e
-        comp_sums[labeling.labels[s]] += total
+    comp_sums = np.zeros(labeling.n_components)
+    for block, rows in distance_blocks(adj.mat):
+        rows[~np.isfinite(rows)] = 0.0
+        ecc[block] = rows.max(axis=1)
+        np.add.at(comp_sums, labeling.labels[block], rows.sum(axis=1))
 
     avg = [
-        comp_sums[i] / (size * (size - 1)) if size >= 2 else math.nan
+        float(comp_sums[i]) / (size * (size - 1)) if size >= 2 else math.nan
         for i, size in enumerate(labeling.sizes)
     ]
     diam = float(ecc.max()) if n else math.nan

@@ -376,13 +376,12 @@ def correlation_table(
     measures: tuple[str, ...] = ("degree", "subgraph", "closeness"),
     levels: tuple[int, ...] = (0, 1, 2),
     dense_limit: int = 5_000,
-    threads: int = 1,
 ) -> CorrelationTable:
     raw: dict[tuple[int, str], CentralityVector] = {}
     node_view: dict[tuple[int, str], CentralityVector] = {}
     for k in levels:
         for m in measures:
-            vec = compute(c, k, m, dense_limit=dense_limit, threads=threads)
+            vec = compute(c, k, m, dense_limit=dense_limit)
             raw[k, m] = vec
             node_view[k, m] = vec if k == 0 else project_to_nodes(c, vec)
 

@@ -20,6 +20,19 @@ def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph([str(i) for i in range(n)], edges)
 
 
+def er_blocks_graph(rng: np.random.Generator) -> Graph:
+    """Three disjoint Erdos-Renyi blocks of 4-6 vertices with p in [0.4, 0.7],
+    plus two vertices without edges: several components at every level."""
+    edges: list[tuple[int, int]] = []
+    offset = 0
+    for _ in range(3):
+        size = int(rng.integers(4, 7))
+        p = float(rng.uniform(0.4, 0.7))
+        edges += [(offset + u, offset + v) for u in range(size) for v in range(u + 1, size) if rng.random() < p]
+        offset += size
+    return Graph([str(i) for i in range(offset + 2)], edges)
+
+
 def random_growth_complex(l: int, k: int, rng: np.random.Generator):
     """A random connected complex with exactly l k-simplices and no
     (k+1)-simplices: start from one k-simplex and repeatedly glue a fresh

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,22 @@ class TestFitDegree:
         text = capsys.readouterr().out
         assert "selection" in text
 
+    def test_single_level_summary_line(self, fig_file, tmp_path, capsys):
+        out_csv = tmp_path / "fits.csv"
+        assert main(["fit-degree", fig_file, "--level", "1", "-o", str(out_csv)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"level 1 \(14 degrees\): selection \S+ \(.+\)", lines[0])
+        assert len(lines) == 1 + 6  # one line per family
+        assert open(out_csv).readline().startswith("# simplicent ")
+
+    def test_more_than_one_level_rejected(self, fig_file, tmp_path, capsys):
+        out_csv = tmp_path / "fits.csv"
+        assert main(["fit-degree", fig_file, "--level", "1,2", "-o", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert "--level 1,2" in captured.err
+        assert captured.out == ""
+        assert not out_csv.exists()
+
 
 class TestCorrelate:
     def test_na_on_constant_vectors(self, tmp_path, capsys):
@@ -198,3 +215,10 @@ def test_metadata_lines_echo_config(fig_file, tmp_path):
     assert config["threads"] == 2
     assert config["input"] == fig_file
     assert config["version"]
+
+
+def test_matrix_limit_option_removed(fig_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["distance", fig_file, "--matrix-limit", "10"])
+    assert err.value.code == 2
+    assert "--matrix-limit" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import sid
-from oracles import er_graph, floyd_warshall
+from oracles import er_blocks_graph, er_graph, floyd_warshall
+from simplicent import paths
 from simplicent import (
     average_path_length,
     average_path_length_by_component,
@@ -20,6 +21,7 @@ from simplicent import (
     generate_P,
     generate_S,
     generate_T,
+    level_summary,
     shortest_distances,
 )
 
@@ -162,5 +164,38 @@ def test_eccentricities_vector_matches_scalar(fig):
 
 
 def test_matrix_limit_guard(fig):
-    with pytest.raises(ValueError, match="materialization"):
+    with pytest.raises(ValueError, match="materialization.*level_summary"):
         shortest_distances(fig, 0, max_size=5)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_block_kernel_matches_floyd_warshall(seed, monkeypatch):
+    c = build_clique_complex(er_blocks_graph(np.random.default_rng(1300 + seed)), 5)
+    levels = range(c.max_level)
+    assert any(c.n_simplices(k) == 0 for k in levels)
+    assert connected_components(c, 0).sizes.count(1) >= 2  # isolated simplices among other components
+    runs = []
+    for size in (1, 3, paths.BLOCK_SIZE):
+        monkeypatch.setattr(paths, "BLOCK_SIZE", size)
+        runs.append([(shortest_distances(c, k).dist, level_summary(c, k), connected_components(c, k)) for k in levels])
+    for k in levels:
+        reference = floyd_warshall(combined_adjacency(c, k).mat.toarray())
+        finite = np.isfinite(reference)
+        for dist, summary, labeling in (run[k] for run in runs):
+            assert (dist == reference).all()
+            assert (summary.eccentricities == np.where(finite, reference, 0.0).max(axis=1, initial=0.0)).all()
+            labels = labeling.labels
+            assert ((labels[:, None] == labels[None, :]) == finite).all()
+            first_seen = [int(np.flatnonzero(labels == comp)[0]) for comp in range(labeling.n_components)]
+            assert first_seen == sorted(first_seen)
+            assert labeling.sizes == summary.component_sizes == np.bincount(labels).tolist()
+            for comp, size in enumerate(labeling.sizes):
+                idx = np.flatnonzero(labels == comp)
+                if size == 1:
+                    assert math.isnan(summary.avg_path_lengths[comp])
+                else:
+                    assert summary.avg_path_lengths[comp] == reference[np.ix_(idx, idx)].sum() / (size * (size - 1))
+            if c.n_simplices(k):
+                assert summary.diameter == reference[finite].max()
+            else:
+                assert math.isnan(summary.diameter)
