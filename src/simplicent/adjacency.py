@@ -1,9 +1,11 @@
 """Lower, upper, and combined adjacency among the k-simplices of a complex.
 
 Two k-simplices are lower adjacent when they share a (k-1)-face and upper
-adjacent when both are faces of one (k+1)-simplex.  The combined relation --
-lower and not upper for k >= 1, plain graph adjacency for k = 0 -- is the
-adjacency used by every distance and centrality in this package; its graph
+adjacent when both are faces of one (k+1)-simplex: the off-diagonals of
+B_k^T B_k and B_{k+1} B_{k+1}^T for the complex's unsigned boundary matrices.
+The combined relation -- lower and not upper for k >= 1, plain graph
+adjacency for k = 0 -- is the adjacency used by every distance and centrality
+in this package, built once per level and cached on the complex; its graph
 view is the "underlying network of simplices".
 """
 
@@ -42,37 +44,28 @@ class LevelAdjacency:
         return f"LevelAdjacency(level={self.level}, kind={self.kind!r}, n={self.n})"
 
 
-def _pairs_to_csr(pairs: list[tuple[int, int]], n: int) -> sparse.csr_matrix:
-    """Symmetric 0/1 CSR from unordered index pairs (deduplicated)."""
-    if not pairs:
-        return sparse.csr_matrix((n, n), dtype=np.int8)
-    arr = np.unique(np.array(pairs, dtype=np.int64), axis=0)
-    rows = np.concatenate([arr[:, 0], arr[:, 1]])
-    cols = np.concatenate([arr[:, 1], arr[:, 0]])
-    data = np.ones(rows.size, dtype=np.int8)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+def _offdiag(prod: sparse.spmatrix) -> sparse.csr_matrix:
+    """A simplex-by-simplex product without its diagonal, as int8 CSR."""
+    prod = prod.tocoo()
+    keep = prod.row != prod.col
+    return sparse.csr_matrix((prod.data[keep].astype(np.int8), (prod.row[keep], prod.col[keep])), shape=prod.shape)
 
 
 def lower_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
-    """Adjacency of k-simplices sharing a common (k-1)-face.
+    """Adjacency of k-simplices sharing a common (k-1)-face, from B_k^T B_k.
 
     0-simplices are never lower adjacent, so k=0 yields the zero matrix.
-    Pairs are found by bucketing the k-simplices on each (k-1)-face, which
-    avoids comparing all simplex pairs.
     """
     n = c.n_simplices(k)
     if k == 0:
         return LevelAdjacency(0, "lower", sparse.csr_matrix((n, n), dtype=np.int8), c)
-    pairs: list[tuple[int, int]] = []
-    for cofaces in c.face_index(k).values():
-        for a in range(len(cofaces)):
-            for b in range(a + 1, len(cofaces)):
-                pairs.append((cofaces[a], cofaces[b]))
-    return LevelAdjacency(k, "lower", _pairs_to_csr(pairs, n), c)
+    b = c.boundary(k)
+    return LevelAdjacency(k, "lower", _offdiag(b.T @ b), c)
 
 
 def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
-    """Adjacency of k-simplices that are faces of one common (k+1)-simplex.
+    """Adjacency of k-simplices that are faces of one common (k+1)-simplex,
+    from B_{k+1} B_{k+1}^T.
 
     Requires level k+1 to be materialized; otherwise the result would be
     silently understated, so the call is rejected instead.
@@ -82,27 +75,28 @@ def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
             f"insufficient complex depth: upper adjacency at level {k} needs "
             f"level {k + 1} materialized (max_level={c.max_level})"
         )
-    n = c.n_simplices(k)
-    pairs: list[tuple[int, int]] = []
-    for sid in range(c.n_simplices(k + 1)):
-        faces = c.face_ids(k + 1, sid)
-        for a in range(len(faces)):
-            for b in range(a + 1, len(faces)):
-                pairs.append((faces[a], faces[b]))
-    return LevelAdjacency(k, "upper", _pairs_to_csr(pairs, n), c)
+    b = c.boundary(k + 1)
+    return LevelAdjacency(k, "upper", _offdiag(b @ b.T), c)
 
 
 def combined_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     """The level-k adjacency matrix: lower-and-not-upper for k >= 1, upper
-    (i.e. ordinary graph adjacency) for k = 0."""
-    if k == 0:
-        upper = upper_adjacency(c, 0)
-        return LevelAdjacency(0, "combined", upper.mat, c)
-    lower = lower_adjacency(c, k).mat.astype(bool)
-    upper = upper_adjacency(c, k).mat.astype(bool)
-    mat = (lower > upper).astype(np.int8).tocsr()  # boolean AND NOT
-    mat.eliminate_zeros()
-    return LevelAdjacency(k, "combined", mat, c)
+    (i.e. ordinary graph adjacency) for k = 0.
+
+    The matrix is built once per level and cached on the complex; every call
+    wraps that same matrix, which callers must not modify.  The wrapper is
+    not cached: it points back at the complex, and that cycle would keep
+    each complex alive until a full garbage collection.
+    """
+    if k not in c._combined:
+        mat = upper_adjacency(c, k).mat
+        if k >= 1:
+            # Two distinct k-simplices share at most one (k-1)-face and lie in
+            # at most one common (k+1)-simplex, so both matrices are 0/1; upper
+            # is a subset of lower, so the difference is 0/1 and stores no zeros.
+            mat = lower_adjacency(c, k).mat - mat
+        c._combined[k] = mat
+    return LevelAdjacency(k, "combined", c._combined[k], c)
 
 
 def simplex_degree(a: LevelAdjacency, i: int) -> int:

@@ -268,7 +268,7 @@ def subgraph_centrality(
         else:
             raise ValueError(
                 f"level {k} has {n} simplices, above the dense spectral limit "
-                f"{dense_limit}; pass method='series' for the truncated-series fallback"
+                f"{dense_limit}; raise dense_limit (--dense-limit) or pass method='series'"
             )
     if method == "dense":
         decomp = spectral_decomposition(c, k, dense_limit=max(dense_limit, n))

@@ -15,6 +15,9 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+from scipy import sparse
+
 logger = logging.getLogger(__name__)
 
 Simplex = tuple[int, ...]
@@ -149,10 +152,10 @@ class CliqueComplex:
 
     ``levels[k]`` lists every k-simplex (each (k+1)-clique of the graph) in
     lexicographic vertex order; a simplex's position in that list is its ID.
-    ``face_index(k)`` maps each (k-1)-simplex ID to the sorted IDs of the
-    k-simplices having it as a face.  The structure is closed by construction:
-    every face of a registered simplex is itself registered.  Instances are
-    immutable once built and safe to share across workers.
+    The structure is closed by construction: every face of a registered
+    simplex is itself registered.  Instances are immutable once built, so the
+    boundary matrices and each level's combined adjacency are built on first
+    use and cached on the instance.
     """
 
     def __init__(self, graph: Graph, max_level: int, levels: list[list[Simplex]]):
@@ -162,15 +165,8 @@ class CliqueComplex:
         self._index: list[dict[Simplex, int]] = [
             {s: i for i, s in enumerate(level)} for level in levels
         ]
-        self._cofaces: list[dict[int, list[int]]] = [{}]
-        for k in range(1, max_level + 1):
-            facemap: dict[int, list[int]] = {}
-            lower = self._index[k - 1]
-            for sid, simplex in enumerate(levels[k]):
-                for drop in range(len(simplex)):
-                    face = simplex[:drop] + simplex[drop + 1 :]
-                    facemap.setdefault(lower[face], []).append(sid)
-            self._cofaces.append(facemap)
+        self._boundary: dict[int, sparse.csr_matrix] = {}
+        self._combined: dict[int, sparse.csr_matrix] = {}  # filled by adjacency.combined_adjacency
 
     def counts(self) -> list[int]:
         """Number of simplices per level, for levels 0..max_level."""
@@ -192,17 +188,21 @@ class CliqueComplex:
         self._check_level(k)
         return tuple(simplex) in self._index[k]
 
-    def face_index(self, k: int) -> dict[int, list[int]]:
-        """Map from (k-1)-simplex ID to IDs of the k-simplices containing it."""
+    def boundary(self, k: int) -> sparse.csr_matrix:
+        """Unsigned boundary matrix B_k, n_{k-1} x n_k: entry (f, s) is 1
+        when (k-1)-simplex f is a face of k-simplex s."""
         if not 1 <= k <= self.max_level:
-            raise ValueError(f"face index defined for 1 <= k <= {self.max_level}, got {k}")
-        return self._cofaces[k]
-
-    def face_ids(self, k: int, sid: int) -> list[int]:
-        """IDs of the (k-1)-faces of k-simplex ``sid``."""
-        simplex = self.levels[k][sid]
-        lower = self._index[k - 1]
-        return [lower[simplex[:d] + simplex[d + 1 :]] for d in range(len(simplex))]
+            raise ValueError(f"boundary defined for 1 <= k <= {self.max_level}, got {k}")
+        if k not in self._boundary:
+            n = len(self.levels[k])
+            lookup = self._index[k - 1].__getitem__
+            position = list(zip(*self.levels[k]))  # position[d][s] is vertex d of simplex s
+            faces = [list(map(lookup, zip(*(position[:d] + position[d + 1 :])))) for d in range(k + 1)]
+            rows = np.array(faces, dtype=np.int32).reshape(k + 1, n).T.ravel()
+            indptr = np.arange(0, rows.size + 1, k + 1)  # column s holds the k+1 faces of simplex s
+            shape = (len(self.levels[k - 1]), n)
+            self._boundary[k] = sparse.csc_matrix((np.ones_like(rows), rows, indptr), shape=shape).tocsr()
+        return self._boundary[k]
 
     def simplex_label(self, k: int, sid: int) -> str:
         """Render a simplex with the original node labels, comma-joined."""

@@ -1,18 +1,28 @@
 """Lower/upper/combined adjacency, simplex degrees, underlying networks."""
 
+import functools
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import sid
 from oracles import brute_adjacency, er_graph
 from simplicent import (
+    MEASURES,
     InsufficientDepthError,
     build_clique_complex,
     combined_adjacency,
+    compute,
+    degree_distribution,
+    example_complex,
     generate_P,
     generate_S,
+    generate_T,
     interaction_count,
+    level_summary,
     lower_adjacency,
+    shortest_distances,
     simplex_degree,
     underlying_network,
     upper_adjacency,
@@ -136,12 +146,58 @@ class TestContracts:
         assert names == [fig.simplex_label(1, s) for s in range(comb.n)]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_random_graphs_match_brute_force_definitions(seed):
+class TestCache:
+    def test_second_call_returns_same_matrix(self):
+        c = example_complex(3)
+        for k in range(3):
+            assert combined_adjacency(c, k).mat is combined_adjacency(c, k).mat
+
+    def test_callers_leave_cached_matrix_unchanged(self):
+        c = example_complex(3)
+        for k in range(3):
+            adj = combined_adjacency(c, k)
+            before = [arr.copy() for arr in (adj.mat.data, adj.mat.indices, adj.mat.indptr)]
+            for measure in MEASURES:
+                compute(c, k, measure)
+            level_summary(c, k)
+            shortest_distances(c, k)
+            degree_distribution(c, k)
+            assert combined_adjacency(c, k).mat is adj.mat
+            for old, new in zip(before, (adj.mat.data, adj.mat.indices, adj.mat.indptr)):
+                assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+    def test_cache_does_not_keep_complex_alive(self, fig_graph):
+        c = build_clique_complex(fig_graph, 3)
+        for k in range(3):
+            combined_adjacency(c, k)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None  # freed without a collection: the cache holds no cycle
+
+    def test_depth_error_on_every_call(self, fig):
+        for _ in range(3):
+            with pytest.raises(InsufficientDepthError, match="insufficient complex depth"):
+                combined_adjacency(fig, fig.max_level)
+
+
+def _er_complex(seed):
     rng = np.random.default_rng(100 + seed)
     g = er_graph(int(rng.integers(6, 14)), float(rng.uniform(0.2, 0.6)), rng)
-    c = build_clique_complex(g, 3)
-    for k in range(3):
+    return build_clique_complex(g, 4)
+
+
+BRUTE_FORCE_INPUTS = [pytest.param(functools.partial(_er_complex, seed), id=str(seed)) for seed in range(12)] + [
+    pytest.param(lambda: generate_S(5, 2), id="S-5-2"),
+    pytest.param(lambda: generate_T(2, [2, 0, 3]), id="T-2-203"),
+    pytest.param(lambda: generate_P(6, 3), id="P-6-3"),
+]
+
+
+@pytest.mark.parametrize("make_complex", BRUTE_FORCE_INPUTS)
+def test_random_graphs_match_brute_force_definitions(make_complex):
+    c = make_complex()
+    g = c.graph
+    for k in range(c.max_level):
         sims, want_lower = brute_adjacency(g, k, "lower")
         _, want_upper = brute_adjacency(g, k, "upper")
         _, want_comb = brute_adjacency(g, k, "combined")

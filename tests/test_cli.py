@@ -109,6 +109,11 @@ class TestCentrality:
     def test_unknown_measure_exit_2(self, fig_file):
         assert main(["centrality", fig_file, "--measure", "pagerank"]) == 2
 
+    def test_subgraph_above_dense_limit_names_the_option(self, fig_file, capsys):
+        assert main(["centrality", fig_file, "--level", "1", "--measure", "subgraph",
+                     "--dense-limit", "4"]) == 2
+        assert "--dense-limit" in capsys.readouterr().err
+
 
 class TestDistance:
     def test_p_family_average_length(self, tmp_path, capsys):

@@ -116,12 +116,15 @@ class TestBuild:
         for k in range(4):
             assert set(c.simplices(k)) == by_size[k + 1]
 
-    def test_face_index_inverts_faces(self, fig):
+    def test_boundary_columns_hold_faces(self, fig):
         for k in range(1, 4):
-            face_index = fig.face_index(k)
+            b = fig.boundary(k)
+            assert b.shape == (fig.n_simplices(k - 1), fig.n_simplices(k))
             for sid_, simplex in enumerate(fig.simplices(k)):
-                for fid in fig.face_ids(k, sid_):
-                    assert sid_ in face_index[fid]
+                column = b[:, [sid_]].toarray().ravel()
+                faces = sorted(fig.simplex_id(k - 1, simplex[:d] + simplex[d + 1 :]) for d in range(k + 1))
+                assert np.flatnonzero(column).tolist() == faces
+                assert (column[faces] == 1).all() and len(faces) == k + 1
 
 
 class TestFamilies:
