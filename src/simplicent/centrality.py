@@ -1,35 +1,47 @@
 """Centrality measures for the k-simplices of a clique complex.
 
-Every measure is evaluated on the combined level-k adjacency.  The
+Every measure is evaluated on the combined level-k adjacency ``A``.  The
 shortest-path family (degree, closeness, harmonic closeness, betweenness)
 calls the block-of-sources traversal kernels of :mod:`simplicent.paths`;
 the spectral family (Katz, eigenvector, subgraph centrality,
-communicability) works on the same matrix through its eigendecomposition:
+communicability) works on the same matrix:
 
-* Katz solves ``(I - alpha*A) x = 1`` for ``0 < alpha < 1/lambda_1``,
+* Katz solves ``(I - alpha*A) x = 1`` for ``0 < alpha < 1/lambda_1`` by
+  conjugate gradients at every level size,
 * eigenvector centrality is the principal eigenvector of ``A``,
 * subgraph centrality is ``exp(A)_ii`` and communicability ``exp(A)_ij``.
 
-Dense spectral routines are used up to ``dense_limit`` simplices; above it
-the principal eigenpair is found iteratively, and the exponential diagonal
-falls back to a per-simplex truncated series whose order is chosen from the
-remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.
+Up to ``dense_limit`` simplices every spectral quantity (lambda_1, the
+dominant eigenspace, ``exp(A)``) is read from one symmetric
+eigendecomposition of the level, computed on first use and kept on the
+complex in a single slot that a request for another level replaces.  Above
+the limit the principal eigenpair is found iteratively, one connected
+component at a time, and the exponential diagonal falls back to a
+per-simplex truncated series whose order is chosen from the remainder bound
+``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
+``e**lambda_1`` overflows float64 the exponential measures refuse the level
+instead of returning ``inf``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, spsolve
+from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 
-from .adjacency import combined_adjacency
+from .adjacency import LevelAdjacency, combined_adjacency
 from .complexes import CliqueComplex
 from .errors import NonConvergenceError
 from .paths import components_of, distance_blocks, pair_dependencies
 
 DEFAULT_DENSE_LIMIT = 5_000
+KATZ_RTOL = 1e-13  # conjugate gradients stop once ||r||_2 <= KATZ_RTOL * ||1||_2
+KATZ_RESIDUAL = 1e-10  # largest true residual accepted, relative to max(1, max|x|)
+EXP_MAX = math.log(sys.float_info.max)  # about 709.78: exp overflows float64 above it
 
 MEASURES = (
     "degree",
@@ -62,7 +74,7 @@ class CentralityVector:
 class SpectralDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvectors of the
     combined level-k adjacency; column j of ``eigenvectors`` pairs with
-    ``eigenvalues[j]``."""
+    ``eigenvalues[j]``.  Both arrays are read-only."""
 
     level: int
     eigenvalues: np.ndarray
@@ -135,19 +147,82 @@ def walk_count(c: CliqueComplex, k: int, m: int) -> np.ndarray:
     return np.asarray(power)
 
 
-def _lambda_max(mat, dense_limit: int) -> float:
-    n = mat.shape[0]
-    if n == 0 or mat.nnz == 0:
-        return 0.0
-    if n <= dense_limit:
-        return float(np.linalg.eigvalsh(mat.toarray().astype(np.float64)).max())
-    try:
-        vals = eigsh(
-            mat.astype(np.float64), k=1, which="LA", v0=np.ones(n), return_eigenvectors=False
+def spectral_decomposition(
+    c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT
+) -> SpectralDecomposition:
+    """Full symmetric eigendecomposition of the combined level-k adjacency.
+
+    The result is kept on the complex in one slot, which a request for
+    another level replaces: callers loop over levels outermost, so each level
+    is decomposed once and only one n x n eigenvector matrix is held.
+    """
+    n = c.n_simplices(k)
+    if n > dense_limit:
+        raise ValueError(
+            f"level {k} has {n} simplices, above the dense spectral limit "
+            f"{dense_limit}; use the series-based routines instead"
         )
-    except ArpackNoConvergence as exc:  # pragma: no cover - rare
-        raise NonConvergenceError("principal eigenvalue iteration did not converge") from exc
-    return float(vals[0])
+    spec = c._spectrum
+    if spec is None or spec.level != k:
+        w, v = np.linalg.eigh(combined_adjacency(c, k).mat.astype(np.float64).toarray())
+        w, v = w[::-1].copy(), v[:, ::-1].copy()
+        w.flags.writeable = v.flags.writeable = False
+        spec = c._spectrum = SpectralDecomposition(k, w, v)
+    return spec
+
+
+def _exp_spectrum(spec: SpectralDecomposition) -> np.ndarray:
+    """``exp`` of the eigenvalues, refusing a level where ``e**lambda_1``
+    (the scale of every entry of ``exp(A)``) overflows float64."""
+    if spec.eigenvalues.size and spec.eigenvalues[0] > EXP_MAX:
+        raise ValueError(
+            f"exp(A) at level {spec.level} overflows float64: lambda_1 = "
+            f"{spec.eigenvalues[0]:.6g} exceeds log(max float) = {EXP_MAX:.2f}"
+        )
+    return np.exp(spec.eigenvalues)
+
+
+def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
+    """lambda_1 and the all-ones vector projected onto its eigenspace, found
+    iteratively one connected component at a time.
+
+    Each component's largest eigenvalue is simple, with a positive (Perron)
+    eigenvector u, so the dominant eigenspace of A is spanned by the u of the
+    components that attain lambda_1, and the projection is the sum of
+    u * (u . 1) over them; an iteration on the whole matrix would return an
+    arbitrary vector of a degenerate eigenspace instead.  A component's
+    largest eigenvalue is at most its largest degree, so components are
+    visited by descending largest degree until none can reach lambda_1.
+    """
+    labels = components_of(adj).labels
+    mat = adj.mat.astype(np.float64)
+    reach = np.zeros(labels.max() + 1)
+    np.maximum.at(reach, labels, adj.degrees())
+    found = []
+    lam = 0.0
+    for comp in np.argsort(-reach, kind="stable"):
+        if reach[comp] == 0 or reach[comp] < lam - 1e-9 * max(1.0, lam):
+            break
+        idx = np.flatnonzero(labels == comp)
+        try:
+            w, v = eigsh(mat[idx][:, idx], k=1, which="LA", v0=np.ones(idx.size))
+        except ArpackNoConvergence as exc:  # pragma: no cover - rare
+            raise NonConvergenceError("principal eigenpair iteration did not converge") from exc
+        found.append((float(w[0]), idx, v[:, 0]))
+        lam = max(lam, float(w[0]))
+    vec = np.zeros(adj.n)
+    for w, idx, u in found:
+        if w >= lam - 1e-9 * max(1.0, lam):
+            vec[idx] = u * u.sum()
+    return lam, vec
+
+
+def _lambda_max(adj: LevelAdjacency, dense_limit: int) -> float:
+    if adj.mat.nnz == 0:
+        return 0.0
+    if adj.n <= dense_limit:
+        return float(spectral_decomposition(adj.complex, adj.level, dense_limit).eigenvalues[0])
+    return _principal_by_component(adj)[0]
 
 
 def katz(
@@ -160,27 +235,33 @@ def katz(
 
     ``alpha`` must lie in (0, 1/lambda_1); the default is 0.5/lambda_1, safely
     inside the convergence region.  With an all-isolated level every score is
-    1 for any positive alpha.
+    1 for any positive alpha.  ``dense_limit`` only chooses how lambda_1 is
+    found; the system is solved by conjugate gradients at every size, and a
+    solve whose true residual stays large raises NonConvergenceError.
     """
     adj = combined_adjacency(c, k)
     n = adj.n
-    lam = _lambda_max(adj.mat, dense_limit)
+    lam = _lambda_max(adj, dense_limit)
     if alpha is None:
         alpha = 0.5 / lam if lam > 0 else 0.5
     if alpha <= 0 or (lam > 0 and alpha >= 1.0 / lam):
         upper = (1.0 / lam) if lam > 0 else math.inf
         raise ValueError(f"katz alpha must satisfy 0 < alpha < {upper} (got {alpha})")
+    params = {"alpha": alpha, "lambda1": lam}
     if n == 0:
-        return CentralityVector(k, "katz", np.zeros(0), params={"alpha": alpha, "lambda1": lam})
-    if n <= dense_limit:
-        system = np.eye(n) - alpha * adj.mat.toarray().astype(np.float64)
-        scores = np.linalg.solve(system, np.ones(n))
-    else:
-        from scipy import sparse
-
-        system = (sparse.eye(n) - alpha * adj.mat.astype(np.float64)).tocsc()
-        scores = spsolve(system, np.ones(n))
-    return CentralityVector(k, "katz", scores, params={"alpha": alpha, "lambda1": lam})
+        return CentralityVector(k, "katz", np.zeros(0), params=params)
+    # Every eigenvalue w of A has |w| <= lambda_1, so for 0 < alpha < 1/lambda_1
+    # the eigenvalues 1 - alpha*w of the system lie in (0, 2): it is symmetric
+    # positive definite.
+    system = sparse.identity(n, format="csr") - alpha * adj.mat.astype(np.float64)
+    ones = np.ones(n)
+    scores, _ = cg(system, ones, rtol=KATZ_RTOL, atol=0.0)
+    residual = float(np.abs(ones - system @ scores).max())
+    if not residual <= KATZ_RESIDUAL * max(1.0, float(np.abs(scores).max())):
+        raise NonConvergenceError(
+            f"katz solve at level {k} did not converge: residual {residual:.3g} at alpha={alpha:.6g}"
+        )
+    return CentralityVector(k, "katz", scores, params=params)
 
 
 def eigenvector_centrality(
@@ -188,50 +269,32 @@ def eigenvector_centrality(
 ) -> CentralityVector:
     """Principal eigenvector of the combined adjacency: nonnegative entries,
     unit Euclidean norm, sign fixed by making the largest-magnitude entry
-    positive.  A level with no adjacencies (lambda_1 = 0) has no principal
-    eigenvector and is rejected.
+    positive.  With a degenerate lambda_1 the vector is the all-ones vector
+    projected onto the dominant eigenspace, on both branches.  A level with no
+    adjacencies (lambda_1 = 0) has no principal eigenvector and is rejected.
     """
     adj = combined_adjacency(c, k)
     n = adj.n
     if n == 0 or adj.mat.nnz == 0:
         raise ValueError("no principal eigenvector at this level (lambda_1 = 0)")
     if n <= dense_limit:
-        w, v = np.linalg.eigh(adj.mat.toarray().astype(np.float64))
-        lam = float(w[-1])
+        spec = spectral_decomposition(c, k, dense_limit)
+        w, v = spec.eigenvalues, spec.eigenvectors
+        lam = float(w[0])
         # With a degenerate top eigenvalue (identical components), project the
-        # all-ones vector onto the dominant eigenspace: the limit of A^m 1 is
-        # nonnegative, which a single eigh column need not be.
-        dominant = w >= lam - 1e-9 * max(1.0, abs(lam))
-        basis = v[:, dominant]
+        # all-ones vector onto the dominant eigenspace, the leading columns:
+        # the limit of A^m 1 is nonnegative, which a single column need not be.
+        basis = v[:, : np.count_nonzero(w >= lam - 1e-9 * max(1.0, abs(lam)))]
         vec = basis @ (basis.T @ np.ones(n))
         if np.linalg.norm(vec) < 1e-12:
-            vec = v[:, -1]
+            vec = v[:, 0]
     else:
-        try:
-            w, v = eigsh(adj.mat.astype(np.float64), k=1, which="LA", v0=np.ones(n))
-        except ArpackNoConvergence as exc:  # pragma: no cover - rare
-            raise NonConvergenceError("eigenvector iteration did not converge") from exc
-        lam = float(w[0])
-        vec = v[:, 0]
+        lam, vec = _principal_by_component(adj)
     if vec[np.abs(vec).argmax()] < 0:
         vec = -vec
     vec = np.where(np.abs(vec) < 1e-14, 0.0, vec)
     vec = vec / np.linalg.norm(vec)
     return CentralityVector(k, "eigenvector", vec, params={"lambda1": lam})
-
-
-def spectral_decomposition(
-    c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of the combined level-k adjacency."""
-    adj = combined_adjacency(c, k)
-    if adj.n > dense_limit:
-        raise ValueError(
-            f"level {k} has {adj.n} simplices, above the dense spectral limit "
-            f"{dense_limit}; use the series-based routines instead"
-        )
-    w, v = np.linalg.eigh(adj.mat.toarray().astype(np.float64))
-    return SpectralDecomposition(k, w[::-1].copy(), v[:, ::-1].copy())
 
 
 def _series_order(lam: float, tol: float) -> int:
@@ -259,6 +322,8 @@ def subgraph_centrality(
     ``method`` is ``"dense"`` (spectral), ``"series"`` (per-simplex truncated
     power series, for levels too large to decompose), or ``"auto"`` which
     picks dense below ``dense_limit`` and otherwise refuses with a hint.
+    The dense method raises ValueError where ``e**lambda_1`` overflows
+    float64 (lambda_1 above about 709.78).
     """
     adj = combined_adjacency(c, k)
     n = adj.n
@@ -271,12 +336,12 @@ def subgraph_centrality(
                 f"{dense_limit}; raise dense_limit (--dense-limit) or pass method='series'"
             )
     if method == "dense":
-        decomp = spectral_decomposition(c, k, dense_limit=max(dense_limit, n))
-        scores = (decomp.eigenvectors**2) @ np.exp(decomp.eigenvalues)
+        spec = spectral_decomposition(c, k, dense_limit=max(dense_limit, n))
+        scores = (spec.eigenvectors**2) @ _exp_spectrum(spec)
         return CentralityVector(k, "subgraph", scores, params={"method": "dense"})
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    lam = _lambda_max(adj.mat, dense_limit)
+    lam = _lambda_max(adj, dense_limit)
     order = _series_order(lam, series_tol)
     mat = adj.mat.astype(np.float64)
 
@@ -299,10 +364,10 @@ def communicability(
     c: CliqueComplex, k: int, i: int, j: int, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> float:
     """Off-diagonal entry ``exp(A)_ij``: the weighted count of walks joining
-    simplices i and j."""
-    decomp = spectral_decomposition(c, k, dense_limit)
-    weights = decomp.eigenvectors[i] * decomp.eigenvectors[j]
-    return float(weights @ np.exp(decomp.eigenvalues))
+    simplices i and j.  Refuses a level whose ``e**lambda_1`` overflows, as
+    :func:`subgraph_centrality` does."""
+    spec = spectral_decomposition(c, k, dense_limit)
+    return float((spec.eigenvectors[i] * spec.eigenvectors[j]) @ _exp_spectrum(spec))
 
 
 def compute(

@@ -155,7 +155,8 @@ class CliqueComplex:
     The structure is closed by construction: every face of a registered
     simplex is itself registered.  Instances are immutable once built, so the
     boundary matrices and each level's combined adjacency are built on first
-    use and cached on the instance.
+    use and cached on the instance, as is the eigendecomposition of the most
+    recently decomposed level.
     """
 
     def __init__(self, graph: Graph, max_level: int, levels: list[list[Simplex]]):
@@ -167,6 +168,7 @@ class CliqueComplex:
         ]
         self._boundary: dict[int, sparse.csr_matrix] = {}
         self._combined: dict[int, sparse.csr_matrix] = {}  # filled by adjacency.combined_adjacency
+        self._spectrum = None  # one level at a time, filled by centrality.spectral_decomposition
 
     def counts(self) -> list[int]:
         """Number of simplices per level, for levels 0..max_level."""

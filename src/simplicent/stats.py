@@ -338,17 +338,38 @@ def select_model(fits: list[FitResult]) -> ModelSelection:
     return ModelSelection(ranked, delta_aic, None, "", "not significant (NA)", delta_bic, "NA")
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks, with sorted neighbours tied when their gap is at most
+    1e-12 * max(|neighbours|) + 1e-13 * max|x|: scores equal in exact
+    arithmetic must not be ordered by their rounding noise."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    finite = np.isfinite(xs)
+    floor = 1e-13 * np.abs(xs[finite]).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.diff(xs) <= 1e-12 * np.maximum(np.abs(xs[1:]), np.abs(xs[:-1])) + floor
+    tied = (xs[1:] == xs[:-1]) | (near & finite[1:] & finite[:-1])
+    group = np.concatenate([[0], np.cumsum(~tied)])
+    sizes = np.bincount(group)
+    first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    ranks = np.empty(x.size)
+    ranks[order] = (first + (sizes + 1) / 2.0)[group]
+    return ranks
+
+
 def spearman(x, y) -> float:
-    """Spearman rank correlation with average ranks for ties; nan when either
-    input has zero rank variance."""
+    """Spearman rank correlation with average ranks for ties, near-equal
+    scores counting as tied (see :func:`_average_ranks`); nan when either
+    input holds a nan or has zero rank variance."""
     a = np.asarray(getattr(x, "scores", x), dtype=np.float64)
     b = np.asarray(getattr(y, "scores", y), dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError("inputs must have the same length")
     if a.size < 2:
         raise ValueError("need at least two observations")
-    ra = spstats.rankdata(a, method="average")
-    rb = spstats.rankdata(b, method="average")
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
+    ra, rb = _average_ranks(a), _average_ranks(b)
     if ra.std() == 0 or rb.std() == 0:
         return math.nan
     return float(np.corrcoef(ra, rb)[0, 1])

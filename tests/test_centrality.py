@@ -1,5 +1,9 @@
 """Centrality measures against worked values and brute-force oracles."""
 
+import functools
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -13,7 +17,8 @@ from oracles import (
     er_graph,
     random_growth_complex,
 )
-from simplicent import paths
+from simplicent import NonConvergenceError, centrality, paths
+from simplicent.centrality import DEFAULT_DENSE_LIMIT
 from simplicent import (
     betweenness,
     build_clique_complex,
@@ -23,6 +28,7 @@ from simplicent import (
     compute,
     degree_centrality,
     eigenvector_centrality,
+    example_complex,
     generate_P,
     generate_S,
     generate_T,
@@ -334,3 +340,145 @@ def test_threaded_results_identical(fig):
         single = compute(fig, 1, measure, threads=1).scores
         multi = compute(fig, 1, measure, threads=4).scores
         assert (single == multi).all()
+
+
+SPECTRAL = ("katz", "eigenvector", "subgraph")
+
+
+def _er_blocks_complex(seed):
+    return build_clique_complex(er_blocks_graph(np.random.default_rng(2300 + seed)), 4)
+
+
+BRANCH_INPUTS = [
+    pytest.param(functools.partial(_er_blocks_complex, seed), id=f"er-blocks-{seed}") for seed in range(6)
+] + [
+    pytest.param(lambda: generate_S(6, 2), id="S-6-2"),
+    pytest.param(lambda: generate_T(2, [2, 0, 3]), id="T-2-203"),
+    pytest.param(lambda: generate_P(7, 2), id="P-7-2"),
+]
+
+
+@pytest.mark.parametrize("make_complex", BRANCH_INPUTS)
+def test_sparse_branches_match_dense(make_complex):
+    c = make_complex()
+    for k in range(c.max_level):
+        dense_katz = katz(c, k)
+        sparse_katz = katz(c, k, dense_limit=0)
+        lam = dense_katz.params["lambda1"]
+        assert sparse_katz.params["lambda1"] == pytest.approx(lam, rel=1e-10, abs=1e-12)
+        assert np.allclose(sparse_katz.scores, dense_katz.scores, rtol=1e-9, atol=0)
+        if lam == 0:
+            continue
+        dense_vec = eigenvector_centrality(c, k).scores
+        sparse_vec = eigenvector_centrality(c, k, dense_limit=0).scores
+        assert np.allclose(sparse_vec, dense_vec, atol=1e-8)
+
+
+@pytest.mark.parametrize("make_complex", BRANCH_INPUTS)
+@pytest.mark.parametrize("fraction", [0.5, 0.99, 0.9999])
+def test_katz_matches_direct_solve(make_complex, fraction):
+    c = make_complex()
+    for k in range(c.max_level):
+        mat = combined_adjacency(c, k).mat.toarray().astype(np.float64)
+        lam = float(np.linalg.eigvalsh(mat).max()) if mat.size else 0.0
+        if lam == 0:
+            continue
+        alpha = fraction / lam
+        want = np.linalg.solve(np.eye(mat.shape[0]) - alpha * mat, np.ones(mat.shape[0]))
+        for dense_limit in (DEFAULT_DENSE_LIMIT, 0):
+            got = katz(c, k, alpha=alpha, dense_limit=dense_limit).scores
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_katz_fails_loudly_when_the_solve_does_not_converge(fig, monkeypatch):
+    monkeypatch.setattr(centrality, "cg", lambda system, b, **_: (np.zeros_like(b), 1))
+    with pytest.raises(NonConvergenceError, match="katz solve at level 1"):
+        katz(fig, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_spectral_scores_do_not_depend_on_measure_order(seed):
+    def run(order, levels_outermost):
+        c = _er_blocks_complex(seed)
+        pairs = [(k, m) for k in range(3) for m in order]
+        if not levels_outermost:
+            pairs = [(k, m) for m in order for k in range(3)]
+        # eigenvector centrality rejects a level without adjacencies
+        pairs = [(k, m) for k, m in pairs if m != "eigenvector" or combined_adjacency(c, k).mat.nnz]
+        return {(k, m): compute(c, k, m).scores for k, m in pairs}
+
+    reference = run(SPECTRAL, True)
+    for order in itertools.permutations(SPECTRAL):
+        for levels_outermost in (True, False):
+            got = run(order, levels_outermost)
+            assert got.keys() == reference.keys()
+            for key, scores in got.items():
+                assert scores.tobytes() == reference[key].tobytes(), key
+
+
+class TestSpectralCache:
+    @staticmethod
+    def _count_eigensolves(monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, a.shape[0]))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_one_decomposition_per_level(self, monkeypatch):
+        c = example_complex(3)
+        calls = self._count_eigensolves(monkeypatch)
+        for k in range(3):
+            for measure in SPECTRAL:
+                compute(c, k, measure)
+            n = c.n_simplices(k)
+            for p in range(20):
+                communicability(c, k, p % n, (7 * p + 1) % n)
+            assert calls == [("eigh", c.n_simplices(j)) for j in range(k + 1)]
+
+    def test_cached_arrays_are_read_only(self):
+        spec = spectral_decomposition(example_complex(3), 1)
+        with pytest.raises(ValueError):
+            spec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            spec.eigenvectors[0, 0] = 0.0
+
+    def test_cache_does_not_keep_complex_alive(self, fig_graph):
+        c = build_clique_complex(fig_graph, 3)
+        for k in range(3):
+            for measure in SPECTRAL:
+                compute(c, k, measure)
+        ref = weakref.ref(c)
+        del c
+        assert ref() is None  # freed without a collection: the slot holds no cycle
+
+    def test_another_level_replaces_the_slot(self, monkeypatch):
+        c = example_complex(3)
+        first = spectral_decomposition(c, 1)
+        assert spectral_decomposition(c, 1) is first
+        second = spectral_decomposition(c, 2)
+        assert second.level == 2 and c._spectrum is second
+        calls = self._count_eigensolves(monkeypatch)
+        again = spectral_decomposition(c, 1)
+        assert again is not first and c._spectrum is again and calls == [("eigh", c.n_simplices(1))]
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+
+
+class TestExponentialOverflow:
+    def test_subgraph_refuses_overflowing_level(self):
+        c = generate_S(800, 1)  # level 1 is K_800: lambda_1 = 799
+        with pytest.raises(ValueError, match=r"level 1 overflows float64: lambda_1 = 799"):
+            subgraph_centrality(c, 1)
+        with pytest.raises(ValueError, match=r"level 1 overflows float64: lambda_1 = 799"):
+            communicability(c, 1, 0, 1)
+
+    def test_largest_finite_level_is_accepted(self):
+        c = generate_S(700, 1)  # lambda_1 = 699, e**699 is finite
+        scores = subgraph_centrality(c, 1).scores
+        assert np.isfinite(scores).all()
+        assert np.isfinite(communicability(c, 1, 0, 1))

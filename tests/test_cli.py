@@ -114,6 +114,16 @@ class TestCentrality:
                      "--dense-limit", "4"]) == 2
         assert "--dense-limit" in capsys.readouterr().err
 
+    def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys):
+        star = tmp_path / "s800.txt"
+        out = tmp_path / "cent.csv"
+        assert main(["generate", "S", "800", "1", "-o", str(star)]) == 0
+        capsys.readouterr()
+        assert main(["centrality", str(star), "--level", "1", "--measure", "subgraph", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "level 1" in err and "lambda_1 = 799" in err
+        assert not out.exists()
+
 
 class TestDistance:
     def test_p_family_average_length(self, tmp_path, capsys):

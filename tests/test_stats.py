@@ -195,6 +195,18 @@ class TestSpearman:
         want = float(cov) / math.sqrt(float(var_x) * float(var_y))
         assert spearman(x, y) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rounding_noise_on_tied_scores_is_ignored(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.choice([1.0, 2.5, 1e-3, 7e5], size=30)  # four tied groups
+        y = rng.normal(size=30)
+        noisy = x.copy()
+        for i in rng.choice(30, size=15, replace=False):
+            noisy[i] = np.nextafter(noisy[i], np.inf if rng.random() < 0.5 else -np.inf)
+        assert (noisy != x).sum() == 15
+        assert spearman(noisy, y) == spearman(x, y)
+        assert spearman(y, noisy) == spearman(y, x)
+
     def test_zero_variance_is_nan(self):
         assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
 
