@@ -221,14 +221,9 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
     dist = degree_distribution(c, k)
     fits = fit_all(dist.sample, tuple(cfg.families) if cfg.families else FAMILIES)
     selection = select_model(fits)
-    ranked_families = [f.family for f in selection.ranked]
+    delta_aic = {f.family: d for f, d in zip(selection.ranked, selection.delta_aic)}
     rows = []
     for fit in fits:
-        delta = (
-            selection.delta_aic[ranked_families.index(fit.family)]
-            if fit.family in ranked_families
-            else None
-        )
         rows.append(
             [
                 fit.family,
@@ -236,7 +231,7 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
                 fit.loglik if fit.success else None,
                 fit.aic if fit.success else None,
                 fit.bic if fit.success else None,
-                delta,
+                delta_aic.get(fit.family),
                 "ok" if fit.success else fit.message,
             ]
         )
@@ -259,10 +254,14 @@ def _cmd_correlate(cfg: RunConfig) -> int:
         levels=tuple(cfg.levels),
         dense_limit=cfg.dense_limit,
     )
-    rows = [
-        [label] + [table.matrix[i, j] for j in range(len(table.labels))]
-        for i, label in enumerate(table.labels)
-    ]
+    undefined = np.argwhere(np.isnan(table.matrix))
+    if undefined.size:
+        keys = [(k, m) for k in table.levels for m in table.measures]
+        (k1, m1), (k2, m2) = (keys[i] for i in undefined[0])
+        which = (f"at level {k1} is constant for {m1} or {m2}" if k1 == k2
+                 else f"is constant for {m1} at level {k1} or {m2} at level {k2}")
+        raise ValueError(f"ranking {which}, so their Spearman coefficient is undefined")
+    rows = [[label, *table.matrix[i].tolist()] for i, label in enumerate(table.labels)]
     for (ka, kb), value in table.averages.items():
         rows.append([f"avg:level{ka}~level{kb}"] + [value] + [math.nan] * (len(table.labels) - 1))
     _emit(cfg, ["ranking"] + table.labels, rows)

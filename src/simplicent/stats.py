@@ -14,7 +14,10 @@ so fitting follows fixed conventions, all disclosed on the result:
   is moved up to 0.5; the shift is reported with the fit;
 * exponential, lognormal and normal use their closed-form maximum-likelihood
   estimates; the remaining families run a derivative-free bounded search
-  from method-of-moments starts with three restarts.
+  from method-of-moments starts with three restarts;
+* every likelihood is a weighted sum over the distinct sample values, with
+  the log-densities written in numpy and ``scipy.special`` (``scipy.stats``
+  serves only as the tests' oracle).
 
 Model choice ranks by AIC; when the top two are not decisively separated
 (``exp((AIC_min - AIC_2)/2) >= 0.01``) the BIC difference decides using the
@@ -24,12 +27,13 @@ very strong).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
-from scipy import stats as spstats
+from scipy import optimize, special
 
 from .adjacency import combined_adjacency
 from .centrality import CentralityVector, compute
@@ -98,30 +102,44 @@ def _failed(family: str, n: int, message: str) -> FitResult:
     return FitResult(family, n=n, success=False, message=message)
 
 
-def _positivity_shift(x: np.ndarray) -> float:
-    """Shift applied before positive-support fits: samples containing zeros
-    (integer degrees) move by +0.5; any other non-positive minimum moves so
-    the smallest value sits at 0.5."""
-    xmin = float(x.min())
-    return 0.5 - xmin if xmin <= 0 else 0.0
+@dataclass(frozen=True, eq=False)
+class _Histogram:
+    """A sample as its sorted distinct values and their multiplicities; a
+    continuous sample has weights 1.  Likelihoods are weighted sums over the
+    distinct values, so a fit does not depend on the order of the sample."""
+
+    values: np.ndarray
+    weights: np.ndarray
+    n: int
+
+    def total(self, per_value) -> float:
+        return float(np.dot(self.weights, per_value))
+
+    def moments(self) -> tuple[float, float]:
+        mean = self.total(self.values) / self.n
+        return mean, self.total((self.values - mean) ** 2) / self.n
 
 
-def _is_integer_sample(x: np.ndarray) -> bool:
-    return bool(np.all(np.mod(x, 1.0) == 0.0))
+def _histogram(sample) -> _Histogram:
+    values, counts = np.unique(np.asarray(sample, dtype=np.float64), return_counts=True)
+    return _Histogram(values, counts.astype(np.float64), int(counts.sum()))
 
 
-def _gev_lmoment_start(x: np.ndarray) -> tuple[float, float, float]:
+def _gev_lmoment_start(h: _Histogram) -> tuple[float, float, float]:
     """Hosking's L-moment estimates of the GEV parameters (shape in the
-    ``(1 + k(x-mu)/sigma)`` convention, i.e. the extreme-value index)."""
-    xs = np.sort(x)
-    n = xs.size
-    i = np.arange(n)
-    b0 = xs.mean()
-    b1 = float((i / (n - 1) * xs).mean())
-    b2 = float((i * (i - 1) / ((n - 1) * (n - 2)) * xs).mean())
+    ``(1 + k(x-mu)/sigma)`` convention, i.e. the extreme-value index).  Each
+    distinct value fills the sorted positions [lo, hi), over which the sums
+    of i and i(i-1) in the probability-weighted moments have closed forms."""
+    n = h.n
+    hi = np.cumsum(h.weights)
+    lo = hi - h.weights
+    b0, var = h.moments()
+    b1 = h.total((hi * (hi - 1) - lo * (lo - 1)) / 2) / (n * (n - 1))
+    b2 = h.total((hi * (hi - 1) * (hi - 2) - lo * (lo - 1) * (lo - 2)) / 3) / (n * (n - 1) * (n - 2))
+    fallback = 0.0, max(math.sqrt(var), 1e-6), b0
     lam2 = 2 * b1 - b0
     if lam2 <= 0:
-        return 0.0, max(float(x.std()), 1e-6), float(x.mean())
+        return fallback
     tau3 = (6 * b2 - 6 * b1 + b0) / lam2
     z = 2.0 / (3.0 + tau3) - math.log(2) / math.log(3)
     kappa = 7.8590 * z + 2.9554 * z * z  # Hosking's kappa = -extreme-value index
@@ -130,12 +148,59 @@ def _gev_lmoment_start(x: np.ndarray) -> tuple[float, float, float]:
         return 0.0, sigma, b0 - 0.5772156649 * sigma
     gamma1k = math.gamma(1 + kappa) if kappa > -1 else math.nan
     if not math.isfinite(gamma1k):
-        return 0.0, max(float(x.std()), 1e-6), float(x.mean())
+        return fallback
     sigma = lam2 * kappa / (gamma1k * (1 - 2.0**-kappa))
     mu = b0 - sigma * (1 - gamma1k) / kappa
     if not (sigma > 0 and math.isfinite(mu)):
-        return 0.0, max(float(x.std()), 1e-6), float(x.mean())
+        return fallback
     return float(np.clip(-kappa, -4.9, 4.9)), float(sigma), float(mu)
+
+
+def _gamma_nll(h: _Histogram):
+    """-lnL(a, b) of gamma(shape a, scale b) on positive values, from two
+    weighted sums: n(ln Γ(a) + a ln b) - (a-1) Σw ln x + Σw x / b."""
+    s_x, s_logx = h.total(h.values), h.total(np.log(h.values))
+
+    def nll(theta):
+        a, b = theta
+        if not (a > 0 and b > 0):
+            return math.inf
+        return h.n * (float(special.gammaln(a)) + a * math.log(b)) - (a - 1) * s_logx + s_x / b
+
+    return nll
+
+
+def _genpareto_nll(h: _Histogram, theta, loc: float) -> float:
+    """Generalized Pareto (k, sigma) with z = (x - loc)/sigma >= 0, and
+    kz >= -1 when k < 0: -lnL = n ln sigma + Σw (1 + 1/k) ln(1 + kz), or
+    n ln sigma + Σw z at k = 0."""
+    k, sigma = theta
+    if not sigma > 0:
+        return math.inf
+    z = (h.values - loc) / sigma
+    if z[0] < 0 or (k < 0 and k * z[-1] < -1):
+        return math.inf
+    if k == 0:
+        return h.n * math.log(sigma) + h.total(z)
+    with np.errstate(divide="ignore"):  # ln 0 at the upper endpoint
+        return h.n * math.log(sigma) + h.total(special.xlog1py(k + 1, k * z)) / k
+
+
+def _gev_nll(h: _Histogram, theta, mu: float | None = None) -> float:
+    """GEV (k, sigma, mu), or (k, sigma) with mu pinned, with z = (x - mu)/sigma
+    and t = 1 + kz > 0: -lnL = n ln sigma + Σw ((1 + 1/k) ln t + t^(-1/k)),
+    or n ln sigma + Σw (z + e^(-z)) at k = 0."""
+    k, sigma, mu = theta if mu is None else (*theta, mu)
+    if not sigma > 0:
+        return math.inf
+    z = (h.values - mu) / sigma
+    with np.errstate(over="ignore"):
+        if k == 0:
+            return h.n * math.log(sigma) + h.total(z + np.exp(-z))
+        if k * z[0 if k > 0 else -1] <= -1:
+            return math.inf
+        log_t = np.log1p(k * z)
+        return h.n * math.log(sigma) + h.total((1 + 1 / k) * log_t + np.exp(-log_t / k))
 
 
 _INFEASIBLE = 1e12
@@ -174,124 +239,77 @@ def fit_mle(sample, family: str) -> FitResult:
     identified), and optimizer failures come back with ``success=False`` and
     are excluded from ranking rather than raising.
     """
-    x = np.asarray(sample, dtype=np.float64)
-    n = x.size
+    return _fit(_histogram(sample), family)
+
+
+def fit_all(sample, families=FAMILIES) -> list[FitResult]:
+    """Fit every requested family to the same sample, sharing one histogram."""
+    h = _histogram(sample)
+    return [_fit(h, family) for family in families]
+
+
+def _fit(h: _Histogram, family: str) -> FitResult:
+    n = h.n
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
     if n < MIN_SAMPLE:
         return _failed(family, n, f"insufficient data (n={n} < {MIN_SAMPLE})")
-    mean = float(x.mean())
-    var = float(x.var())
+    mean, var = h.moments()
 
     if family == "exponential":
-        if x.min() < 0:
+        if h.values[0] < 0:
             return _failed(family, n, "negative values unsupported")
         if mean <= 0:
             return _failed(family, n, "degenerate: zero mean")
-        loglik = float(-n * (math.log(mean) + 1.0))
-        return _finish(family, {"mean": mean}, 1, loglik, n)
-
-    if family == "normal":
-        sigma = math.sqrt(var)
-        if sigma == 0:
-            return _failed(family, n, "degenerate: zero variance")
-        loglik = float(spstats.norm.logpdf(x, loc=mean, scale=sigma).sum())
-        return _finish(family, {"mu": mean, "sigma": sigma}, 2, loglik, n)
-
-    if family == "lognormal":
-        shift = _positivity_shift(x)
-        y = np.log(x + shift)
-        mu, sigma = float(y.mean()), float(y.std())
-        if sigma == 0:
-            return _failed(family, n, "degenerate: zero variance")
-        loglik = float(spstats.lognorm.logpdf(x + shift, s=sigma, scale=math.exp(mu)).sum())
-        return _finish(family, {"mu": mu, "sigma": sigma}, 2, loglik, n, shift=shift)
-
-    if var == 0:
+        return _finish(family, {"mean": mean}, 1, -n * (math.log(mean) + 1.0), n)
+    if h.values.size == 1:
         return _failed(family, n, "degenerate: zero variance")
+    if family == "normal":
+        loglik = -0.5 * n * (math.log(2 * math.pi * var) + 1.0)
+        return _finish(family, {"mu": mean, "sigma": math.sqrt(var)}, 2, loglik, n)
+    # the positivity shift of the module docstring
+    xmin = float(h.values[0])
+    shift = 0.5 - xmin if family in ("gamma", "lognormal") and xmin <= 0 else 0.0
+    if family == "lognormal":
+        mu, log_var = _Histogram(np.log(h.values + shift), h.weights, n).moments()
+        loglik = -n * (mu + 0.5 * math.log(2 * math.pi * log_var) + 0.5)
+        return _finish(family, {"mu": mu, "sigma": math.sqrt(log_var)}, 2, loglik, n, shift=shift)
 
+    # the rest run the bounded search; integer samples pin the generalized
+    # Pareto and GEV locations half a lattice step below the minimum
+    integer_sample = bool(np.all(np.mod(h.values, 1.0) == 0.0))
+    pinned = xmin - (0.5 if integer_sample else 0.0)
+    s0 = math.sqrt(6.0 * var) / math.pi  # Gumbel scale of the sample's variance
     if family == "gamma":
-        shift = _positivity_shift(x)
-        y = x + shift
-        m, v = float(y.mean()), float(y.var())
-        a0, b0 = m * m / v, v / m
-
-        def nll(theta):
-            a, b = theta
-            return -spstats.gamma.logpdf(y, a, scale=b).sum()
-
-        theta, loglik = _maximize(
-            nll,
-            [(a0, b0), (2 * a0, b0 / 2), (max(a0 / 2, 1e-3), 2 * b0)],
-            [(1e-8, None), (1e-8, None)],
-        )
-        if theta is None:
-            return _failed(family, n, "optimizer failed")
-        return _finish(family, {"a": theta[0], "b": theta[1]}, 2, loglik, n, shift=shift)
-
-    integer_sample = _is_integer_sample(x)
-
-    if family == "gen-pareto":
-        loc = float(x.min()) - (0.5 if integer_sample else 0.0)
-        excess = x - loc
-        m, v = float(excess.mean()), float(excess.var())
-        k0 = (1.0 - m * m / v) / 2.0
-        s0 = m * (1.0 - min(k0, 0.49))
-
-        def nll(theta):
-            shape, scale = theta
-            return -spstats.genpareto.logpdf(x, c=shape, loc=loc, scale=scale).sum()
-
-        theta, loglik = _maximize(
-            nll,
-            [(np.clip(k0, -0.9, 4.9), max(s0, 1e-3)), (0.01, m), (1.0, m / 2)],
-            [(-1.0, 5.0), (1e-8, None)],
-        )
-        if theta is None:
-            return _failed(family, n, "optimizer failed")
-        params = {"k": theta[0], "sigma": theta[1], "theta": loc}
-        return _finish(family, params, 2, loglik, n)
-
-    # GEV; scipy's genextreme uses the opposite shape sign convention
-    s0 = math.sqrt(6.0 * var) / math.pi
-    if integer_sample:
-        loc = float(x.min()) - 0.5
-
-        def nll(theta):
-            shape, scale = theta
-            return -spstats.genextreme.logpdf(x, c=-shape, loc=loc, scale=scale).sum()
-
-        theta, loglik = _maximize(
-            nll,
-            [(0.1, s0), (0.7, s0), (-0.1, s0)],
-            [(-5.0, 5.0), (1e-8, None)],
-        )
-        if theta is None:
-            return _failed(family, n, "optimizer failed")
-        return _finish(family, {"k": theta[0], "sigma": theta[1], "mu": loc}, 2, loglik, n)
-
-    # continuous samples: the GEV location is interior, not a threshold, so it
-    # is estimated alongside shape and scale, starting from L-moment estimates
-    k0, sig0, mu0 = _gev_lmoment_start(x)
-
-    def nll3(theta):
-        shape, scale, mu = theta
-        return -spstats.genextreme.logpdf(x, c=-shape, loc=mu, scale=scale).sum()
-
-    gumbel = (0.0, s0, mean - 0.5772156649 * s0)
-    theta, loglik = _maximize(
-        nll3,
-        [(k0, sig0, mu0), gumbel, (min(k0 + 0.4, 4.9), sig0, mu0)],
-        [(-5.0, 5.0), (1e-8, None), (None, None)],
-    )
+        m = mean + shift
+        a0, b0 = m * m / var, var / m
+        names, fixed, nll = ("a", "b"), {}, _gamma_nll(_Histogram(h.values + shift, h.weights, n))
+        starts = [(a0, b0), (2 * a0, b0 / 2), (max(a0 / 2, 1e-3), 2 * b0)]
+        bounds = [(1e-8, None), (1e-8, None)]
+    elif family == "gen-pareto":
+        m = mean - pinned
+        k0 = (1.0 - m * m / var) / 2.0
+        names, fixed = ("k", "sigma"), {"theta": pinned}
+        nll = functools.partial(_genpareto_nll, h, loc=pinned)
+        starts = [(np.clip(k0, -0.9, 4.9), max(m * (1.0 - min(k0, 0.49)), 1e-3)), (0.01, m), (1.0, m / 2)]
+        bounds = [(-1.0, 5.0), (1e-8, None)]
+    elif integer_sample:
+        names, fixed = ("k", "sigma"), {"mu": pinned}
+        nll = functools.partial(_gev_nll, h, mu=pinned)
+        starts = [(0.1, s0), (0.7, s0), (-0.1, s0)]
+        bounds = [(-5.0, 5.0), (1e-8, None)]
+    else:
+        # continuous samples: the GEV location is interior, not a threshold,
+        # so it is estimated alongside shape and scale
+        k0, sig0, mu0 = _gev_lmoment_start(h)
+        names, fixed = ("k", "sigma", "mu"), {}
+        nll = functools.partial(_gev_nll, h)
+        starts = [(k0, sig0, mu0), (0.0, s0, mean - 0.5772156649 * s0), (min(k0 + 0.4, 4.9), sig0, mu0)]
+        bounds = [(-5.0, 5.0), (1e-8, None), (None, None)]
+    theta, loglik = _maximize(nll, starts, bounds)
     if theta is None:
         return _failed(family, n, "optimizer failed")
-    return _finish(family, {"k": theta[0], "sigma": theta[1], "mu": theta[2]}, 3, loglik, n)
-
-
-def fit_all(sample, families=FAMILIES) -> list[FitResult]:
-    """Fit every requested family to the same sample."""
-    return [fit_mle(sample, family) for family in families]
+    return _finish(family, {**dict(zip(names, theta)), **fixed}, len(names), loglik, n, shift=shift)
 
 
 @dataclass(eq=False)
@@ -382,7 +400,8 @@ class CorrelationTable:
     Intra-level entries correlate the simplex-level vectors directly;
     inter-level entries correlate node projections (the mean score of the
     simplices containing each node).  ``averages[(k1, k2)]`` holds the block
-    means; any nan entry propagates into its block average.
+    means, for the blocks that hold a pair; any nan entry propagates into its
+    block average.
     """
 
     levels: tuple[int, ...]
@@ -408,32 +427,17 @@ def correlation_table(
 
     keys = [(k, m) for k in levels for m in measures]
     labels = [f"level{k}:{m}" for k, m in keys]
-    size = len(keys)
-    matrix = np.full((size, size), math.nan)
-    for i, (k1, m1) in enumerate(keys):
-        for j, (k2, m2) in enumerate(keys):
-            if j < i:
-                matrix[i, j] = matrix[j, i]
-                continue
-            if i == j:
-                matrix[i, j] = 1.0
-                continue
-            if k1 == k2:
-                matrix[i, j] = spearman(raw[k1, m1], raw[k2, m2])
-            else:
-                matrix[i, j] = spearman(node_view[k1, m1], node_view[k2, m2])
+    matrix = np.eye(len(keys))
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        (k1, m1), (k2, m2) = keys[i], keys[j]
+        view = raw if k1 == k2 else node_view
+        matrix[i, j] = matrix[j, i] = spearman(view[k1, m1], view[k2, m2])
 
     averages: dict[tuple[int, int], float] = {}
-    for a_idx, ka in enumerate(levels):
-        for kb in levels[a_idx:]:
-            entries = []
-            if ka == kb:
-                for p in range(len(measures)):
-                    for q in range(p + 1, len(measures)):
-                        entries.append(matrix[keys.index((ka, measures[p])), keys.index((kb, measures[q]))])
-            else:
-                for ma in measures:
-                    for mb in measures:
-                        entries.append(matrix[keys.index((ka, ma)), keys.index((kb, mb))])
-            averages[ka, kb] = float(np.mean(entries)) if entries else math.nan
+    for ka, kb in itertools.combinations_with_replacement(levels, 2):
+        # measure pairs within a level, every ordered pair across levels
+        pairs = itertools.combinations(measures, 2) if ka == kb else itertools.product(measures, repeat=2)
+        entries = [matrix[keys.index((ka, ma)), keys.index((kb, mb))] for ma, mb in pairs]
+        if entries:  # one measure has no pair within a level
+            averages[ka, kb] = float(np.mean(entries))
     return CorrelationTable(tuple(levels), tuple(measures), labels, matrix, averages)

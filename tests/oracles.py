@@ -33,6 +33,21 @@ def er_blocks_graph(rng: np.random.Generator) -> Graph:
     return Graph([str(i) for i in range(offset + 2)], edges)
 
 
+def ba_graph(n: int, m: int, rng: np.random.Generator) -> Graph:
+    """Barabasi-Albert growth: each new vertex attaches to m distinct earlier
+    vertices drawn proportionally to their degree (heavy-tailed degrees)."""
+    edges = {(0, 1)}
+    ends = [0, 1]  # one entry per edge endpoint
+    for new in range(2, n):
+        chosen: set[int] = set()
+        while len(chosen) < min(m, new):
+            chosen.add(ends[int(rng.integers(len(ends)))])
+        for t in chosen:
+            edges.add((t, new))
+            ends += [t, new]
+    return Graph([str(i) for i in range(n)], sorted(edges))
+
+
 def random_growth_complex(l: int, k: int, rng: np.random.Generator):
     """A random connected complex with exactly l k-simplices and no
     (k+1)-simplices: start from one k-simplex and repeatedly glue a fresh

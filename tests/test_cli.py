@@ -167,15 +167,26 @@ class TestFitDegree:
 
 
 class TestCorrelate:
-    def test_na_on_constant_vectors(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family, level", [(("6", "2"), "2"), (("3", "1"), "1")], ids=["S-6-2", "S-3-1"])
+    def test_constant_ranking_exits_2(self, tmp_path, capsys, family, level):
         edge_file = tmp_path / "s.txt"
-        assert main(["generate", "S", "6", "2", "-o", str(edge_file)]) == 0
+        assert main(["generate", "S", *family, "-o", str(edge_file)]) == 0
         capsys.readouterr()
         assert main([
-            "correlate", str(edge_file), "--level", "2", "--measure", "degree,closeness",
-        ]) == 0
+            "correlate", str(edge_file), "--level", level, "--measure", "degree,closeness",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "NA" not in captured.out
+        assert f"ranking at level {level} is constant for degree or closeness" in captured.err
+
+    def test_single_measure_prints_only_inter_level_averages(self, fig_file, capsys):
+        assert main(["correlate", fig_file, "--level", "0,1", "--measure", "degree"]) == 0
         out = capsys.readouterr().out
-        assert "NA" in out
+        # a level has no pair of measures, so only the inter-level block has an average
+        rho = re.search(r"^level0:degree,1,(\S+)$", out, re.M).group(1)
+        avg_rows = re.findall(r"^avg:.*$", out, re.M)
+        assert [row.split(",")[:2] for row in avg_rows] == [["avg:level0~level1", rho]]
+        assert re.findall(r"^<r_.*$", out, re.M) == [f"<r_0,1> = {rho}"]
 
     def test_fig_table(self, fig_file, tmp_path):
         out = tmp_path / "corr.csv"

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import er_graph
 
 from simplicent import (
+    build_clique_complex,
     CentralityVector,
     degree_centrality,
     detection_curve,
@@ -47,6 +49,20 @@ class TestProjection:
         proj = project_to_nodes(fig, degree_centrality(fig, 1))
         assert proj.level == 0
         assert proj.n == fig.graph.n
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_simplex_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        c = build_clique_complex(er_graph(14, 0.5, rng), 3)
+        for k in range(1, 4):
+            scores = CentralityVector(k, "x", rng.normal(size=c.n_simplices(k)))
+            totals, counts = np.zeros(c.graph.n), np.zeros(c.graph.n)
+            for sid, simplex in enumerate(c.simplices(k)):
+                for v in simplex:
+                    totals[v] += scores.scores[sid]
+                    counts[v] += 1
+            want = np.divide(totals, counts, out=np.zeros(c.graph.n), where=counts > 0)
+            assert project_to_nodes(c, scores).scores.tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(factor=st.floats(0.01, 100.0, allow_nan=False))

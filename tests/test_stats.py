@@ -1,16 +1,23 @@
 """Degree distributions, MLE fits, model selection, rank correlation."""
 
+import functools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ba_graph
 from scipy import stats as spstats
 
+import simplicent
 from simplicent import (
     FitResult,
+    build_clique_complex,
     correlation_table,
     degree_distribution,
     fit_all,
@@ -19,6 +26,7 @@ from simplicent import (
     generate_S,
     select_model,
     spearman,
+    stats,
 )
 
 
@@ -128,6 +136,173 @@ class TestFitMle:
         fit = fit_mle(sample, "normal")
         assert fit.params["mu"] == pytest.approx(sample.mean())
         assert fit.params["sigma"] == pytest.approx(sample.std())
+
+
+def _sample(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """600 heavy-tailed integers with zeros and many repeats, or 600 distinct
+    continuous values."""
+    if kind == "integer":
+        return rng.negative_binomial(2, 0.08, size=600).astype(np.float64)
+    return rng.gamma(2.0, 3.0, size=600) + 1.0
+
+
+@functools.cache
+def _ba_degrees(n: int, m: int, seed: int, k: int) -> np.ndarray:
+    c = build_clique_complex(ba_graph(n, m, np.random.default_rng(seed)), 3)
+    return degree_distribution(c, k).sample.astype(np.float64)
+
+
+class TestWeightedLikelihood:
+    """Each negative log-likelihood, a weighted sum over the distinct values,
+    equals scipy's sum over the whole sample in its own order; points outside
+    the parameter space or the support give +inf."""
+
+    @staticmethod
+    def _check(nll, scipy_nll, points):
+        inside = outside = 0
+        for theta in points:
+            want = scipy_nll(theta)
+            got = nll(theta)
+            if math.isinf(want):
+                assert got == math.inf, theta
+                outside += 1
+            else:
+                assert math.isclose(got, want, rel_tol=1e-12), (theta, got, want)
+                inside += 1
+        return inside, outside
+
+    @staticmethod
+    def _shape_points(rng, k_range, scale_range, size=40):
+        """k = 0, small +-k, then seeded draws."""
+        fixed = [(k, s) for k in (0.0, 1e-9, -1e-9, 1e-4, -1e-4) for s in (0.7, 6.0)]
+        return fixed + [tuple(p) for p in rng.uniform(*zip(k_range, scale_range), size=(size, 2))]
+
+    @pytest.mark.parametrize("kind", ["integer", "continuous"])
+    def test_gamma(self, kind):
+        rng = np.random.default_rng(71)
+        x = _sample(kind, rng)
+        y = x + (0.5 if x.min() <= 0 else 0.0)
+        shuffled = rng.permutation(y)
+        nll = stats._gamma_nll(stats._histogram(y))
+        points = [(1.0, 1.0)] + [tuple(p) for p in rng.uniform((0.05, 0.1), (12.0, 40.0), size=(40, 2))]
+        inside, _ = self._check(nll, lambda t: -spstats.gamma.logpdf(shuffled, t[0], scale=t[1]).sum(), points)
+        assert inside == len(points)
+        for theta in [(0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (2.0, -1.0)]:
+            assert nll(theta) == math.inf
+
+    @pytest.mark.parametrize("kind", ["integer", "continuous"])
+    def test_gen_pareto(self, kind):
+        rng = np.random.default_rng(72)
+        x = _sample(kind, rng)
+        shuffled = rng.permutation(x)
+        loc = x.min() - (0.5 if kind == "integer" else 0.0)
+        span = x.max() - loc
+        h = stats._histogram(x)
+        points = self._shape_points(rng, (-1.0, 5.0), (0.5, 60.0))
+        # negative k with the largest value just inside, or just beyond, the
+        # upper endpoint
+        points += [(-(1 + eps) * f, f * span) for eps in (-1e-3, -1e-6, -1e-9, 1e-9, 1e-3) for f in (0.3, 0.9)]
+        inside, outside = self._check(
+            lambda t: stats._genpareto_nll(h, t, loc),
+            lambda t: -spstats.genpareto.logpdf(shuffled, c=t[0], loc=loc, scale=t[1]).sum(),
+            points,
+        )
+        assert inside >= 20 and outside >= 5
+        for theta, at in [((-0.5, 0.4 * span), loc), ((0.3, 0.0), loc), ((0.3, -1.0), loc), ((0.3, 5.0), x.min() + 1)]:
+            assert stats._genpareto_nll(h, theta, at) == math.inf
+
+    @pytest.mark.parametrize("kind", ["integer-pinned", "continuous-3"])
+    def test_gev(self, kind):
+        rng = np.random.default_rng(73)
+        x = _sample(kind.split("-")[0], rng)
+        shuffled = rng.permutation(x)
+        h = stats._histogram(x)
+        if kind == "integer-pinned":
+            mus = [x.min() - 0.5]
+        else:
+            mus = list(rng.uniform(x.min(), np.median(x), size=3))
+        for mu in mus:
+            z_lo, z_hi = (x.min() - mu), (x.max() - mu)
+            points = self._shape_points(rng, (-5.0, 5.0), (0.5, 40.0), size=30)
+            # the largest value just inside, or beyond, the upper endpoint
+            # (k < 0) and, with mu interior, the smallest at the lower one (k > 0)
+            for eps in (-1e-3, -1e-6, -1e-9, 1e-9, 1e-3):
+                for sigma in (0.3 * z_hi, 0.9 * z_hi):
+                    points.append((-(1 + eps) * sigma / z_hi, sigma))
+                if z_lo < 0:
+                    points.append(((1 + eps) * 2.0 / -z_lo, 2.0))
+
+            def nll(t, mu=mu):  # the pinned objective, or the 3-parameter one at mu
+                return stats._gev_nll(h, t, mu=mu) if kind == "integer-pinned" else stats._gev_nll(h, (*t, mu))
+
+            inside, outside = self._check(
+                nll,
+                lambda t, mu=mu: -spstats.genextreme.logpdf(shuffled, c=-t[0], loc=mu, scale=t[1]).sum(),
+                points,
+            )
+            assert inside >= 20 and outside >= 5
+            assert nll((0.2, 0.0)) == math.inf and nll((0.2, -3.0)) == math.inf
+
+    @pytest.mark.parametrize("kind", ["integer", "continuous"])
+    def test_closed_form_families(self, kind):
+        rng = np.random.default_rng(74)
+        x = _sample(kind, rng)
+        normal = fit_mle(x, "normal")
+        want = spstats.norm.logpdf(x, normal.params["mu"], normal.params["sigma"]).sum()
+        assert math.isclose(normal.loglik, want, rel_tol=1e-12)
+        lognormal = fit_mle(x, "lognormal")
+        p = lognormal.params
+        want = spstats.lognorm.logpdf(x + lognormal.shift, s=p["sigma"], scale=math.exp(p["mu"])).sum()
+        assert math.isclose(lognormal.loglik, want, rel_tol=1e-12)
+        y = np.log(x + lognormal.shift)
+        assert p["mu"] == pytest.approx(y.mean(), rel=1e-12)
+        assert p["sigma"] == pytest.approx(y.std(), rel=1e-12)
+
+
+class TestFitsReachScipyMaximum:
+    """On BA-graph degree samples every optimized fit reaches the maximum
+    scipy's own ``fit`` finds under the same conventions: gamma on the
+    sample shifted by +0.5 when it holds 0, the generalized Pareto and GEV
+    locations pinned at min - 0.5."""
+
+    SCIPY = {"gamma": spstats.gamma, "gen-pareto": spstats.genpareto, "gev": spstats.genextreme}
+
+    @pytest.mark.parametrize("family", sorted(SCIPY))
+    @pytest.mark.parametrize("graph", [(600, 3, 1), (400, 4, 2)], ids=["ba-600-3", "ba-400-4"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_lnl_at_least_scipys(self, family, graph, k):
+        x = _ba_degrees(*graph, k)
+        fit = fit_mle(x, family)
+        assert fit.success
+        dist = self.SCIPY[family]
+        if family == "gamma":
+            sample, loc = x + (0.5 if x.min() <= 0 else 0.0), 0.0
+        else:
+            sample, loc = x, x.min() - 0.5
+        with np.errstate(all="ignore"):
+            shape, _, scale = dist.fit(sample, floc=loc)
+            best = dist.logpdf(sample, shape, loc=loc, scale=scale).sum()
+        assert math.isfinite(best)
+        assert fit.loglik >= best - (1e-9 * abs(best) + 1e-6)
+
+
+@pytest.mark.parametrize("kind", ["integer", "continuous"])
+def test_shuffled_sample_gives_identical_fits(kind):
+    rng = np.random.default_rng(75)
+    x = _sample(kind, rng)
+    fits = fit_all(x)
+    assert all(f.success for f in fits)
+    for _ in range(3):
+        assert [repr(f) for f in fit_all(rng.permutation(x))] == [repr(f) for f in fits]
+    assert [repr(fit_mle(x[::-1], f.family)) for f in fits] == [repr(f) for f in fits]
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(simplicent.__file__))
+    code = "import simplicent.cli, sys; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestSelectModel:
