@@ -378,13 +378,8 @@ def compute(
     normalized: bool = True,
     alpha: float | None = None,
     dense_limit: int = DEFAULT_DENSE_LIMIT,
-    threads: int = 1,
 ) -> CentralityVector:
-    """Dispatch a measure by name (see :data:`MEASURES`).
-
-    ``threads`` is accepted for compatibility and has no effect: every
-    measure runs in one thread.
-    """
+    """Dispatch a measure by name (see :data:`MEASURES`)."""
     if measure == "degree":
         return degree_centrality(c, k)
     if measure == "closeness":

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from ._util import THREADS_ENV_VAR, default_threads
 from .adjacency import combined_adjacency, interaction_count
 from .centrality import DEFAULT_DENSE_LIMIT, MEASURES, compute
 from .complexes import (
@@ -63,7 +62,6 @@ class RunConfig:
     repetitions: int = 100
     grid: list[float] = field(default_factory=list)
     annotations: str | None = None
-    threads: int = 1
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def validate(self) -> None:
@@ -73,8 +71,6 @@ class RunConfig:
             raise ValueError("max-level must be >= 0")
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for x in self.grid:
@@ -86,6 +82,10 @@ class RunConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+        for option, values in (("--level", self.levels), ("--measure", self.measures), ("--families", self.families)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{option} lists {repeated[0]!r} more than once")
 
     def metadata(self) -> dict:
         meta = {k: v for k, v in asdict(self).items() if v is not None}
@@ -329,8 +329,9 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
                             help="highest simplex level to materialize (default 3)")
     parser.add_argument("-o", "--output", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=None,
-                        help=f"accepted and echoed, no effect (default ${THREADS_ENV_VAR} or 1)")
+    # every stage runs in one thread; the option is still parsed, and ignored,
+    # so that existing command lines (perfbench's among them) keep working
+    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit")
 
 
@@ -406,7 +407,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         repetitions=getattr(args, "repetitions", 100),
         grid=list(getattr(args, "grid", [])),
         annotations=getattr(args, "annotations", None),
-        threads=getattr(args, "threads", None) or default_threads(),
         dense_limit=getattr(args, "dense_limit", DEFAULT_DENSE_LIMIT),
     )
     cfg.validate()

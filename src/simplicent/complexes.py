@@ -1,15 +1,15 @@
 """Graphs, clique complexes, and the synthetic complex families.
 
-A k-simplex is represented throughout as a tuple of strictly increasing
-node indices of length k+1.  A :class:`CliqueComplex` stores, per level k,
-an ordered registry of all k-simplices of the input graph (the (k+1)-cliques),
-with dense integer IDs assigned in lexicographic vertex order so that every
-derived matrix and ranking is reproducible.
+A k-simplex is a strictly increasing run of k+1 node indices.  A
+:class:`CliqueComplex` stores level k as one integer array with a row per
+k-simplex of the input graph (each (k+1)-clique), rows in lexicographic
+vertex order, so that a simplex's row is its dense integer ID and every
+derived matrix and ranking is reproducible.  :meth:`CliqueComplex.simplices`
+gives a level as vertex tuples.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass
@@ -150,22 +150,21 @@ def read_edge_list(path: str) -> Graph:
 class CliqueComplex:
     """The clique complex of a graph, materialized up to level ``max_level``.
 
-    ``levels[k]`` lists every k-simplex (each (k+1)-clique of the graph) in
-    lexicographic vertex order; a simplex's position in that list is its ID.
-    The structure is closed by construction: every face of a registered
+    ``levels[k]`` is an int64 array of shape n_k x (k+1): one row per
+    k-simplex (each (k+1)-clique of the graph), its vertices strictly
+    increasing, rows in lexicographic order, so a simplex's row index is its
+    ID.  The structure is closed by construction: every face of a registered
     simplex is itself registered.  Instances are immutable once built, so the
-    boundary matrices and each level's combined adjacency are built on first
-    use and cached on the instance, as is the eigendecomposition of the most
-    recently decomposed level.
+    row keys, the boundary matrices and each level's combined adjacency are
+    built on first use and cached on the instance, as is the
+    eigendecomposition of the most recently decomposed level.
     """
 
-    def __init__(self, graph: Graph, max_level: int, levels: list[list[Simplex]]):
+    def __init__(self, graph: Graph, max_level: int, levels: list[np.ndarray]):
         self.graph = graph
         self.max_level = max_level
         self.levels = levels
-        self._index: list[dict[Simplex, int]] = [
-            {s: i for i, s in enumerate(level)} for level in levels
-        ]
+        self._keys: dict[int, np.ndarray] = {}
         self._boundary: dict[int, sparse.csr_matrix] = {}
         self._combined: dict[int, sparse.csr_matrix] = {}  # filled by adjacency.combined_adjacency
         self._spectrum = None  # one level at a time, filled by centrality.spectral_decomposition
@@ -175,20 +174,22 @@ class CliqueComplex:
         return [len(level) for level in self.levels]
 
     def simplices(self, k: int) -> list[Simplex]:
+        """Level k as a list of vertex tuples, in ID order."""
         self._check_level(k)
-        return self.levels[k]
+        return list(map(tuple, self.levels[k].tolist()))
 
     def n_simplices(self, k: int) -> int:
         self._check_level(k)
         return len(self.levels[k])
 
     def simplex_id(self, k: int, simplex: Sequence[int]) -> int:
-        self._check_level(k)
-        return self._index[k][tuple(simplex)]
+        sid = self._find(k, simplex)
+        if sid < 0:
+            raise KeyError(tuple(simplex))
+        return sid
 
     def has_simplex(self, k: int, simplex: Sequence[int]) -> bool:
-        self._check_level(k)
-        return tuple(simplex) in self._index[k]
+        return self._find(k, simplex) >= 0
 
     def boundary(self, k: int) -> sparse.csr_matrix:
         """Unsigned boundary matrix B_k, n_{k-1} x n_k: entry (f, s) is 1
@@ -196,10 +197,10 @@ class CliqueComplex:
         if not 1 <= k <= self.max_level:
             raise ValueError(f"boundary defined for 1 <= k <= {self.max_level}, got {k}")
         if k not in self._boundary:
-            n = len(self.levels[k])
-            lookup = self._index[k - 1].__getitem__
-            position = list(zip(*self.levels[k]))  # position[d][s] is vertex d of simplex s
-            faces = [list(map(lookup, zip(*(position[:d] + position[d + 1 :])))) for d in range(k + 1)]
+            level = self.levels[k]
+            n = len(level)
+            faces = [np.searchsorted(self._level_keys(k - 1), _row_keys(np.delete(level, d, axis=1)))
+                     for d in range(k + 1)]
             rows = np.array(faces, dtype=np.int32).reshape(k + 1, n).T.ravel()
             indptr = np.arange(0, rows.size + 1, k + 1)  # column s holds the k+1 faces of simplex s
             shape = (len(self.levels[k - 1]), n)
@@ -208,7 +209,22 @@ class CliqueComplex:
 
     def simplex_label(self, k: int, sid: int) -> str:
         """Render a simplex with the original node labels, comma-joined."""
-        return ",".join(self.graph.labels[v] for v in self.levels[k][sid])
+        return ",".join([self.graph.labels[v] for v in self.levels[k][sid].tolist()])
+
+    def _level_keys(self, k: int) -> np.ndarray:
+        if k not in self._keys:
+            self._keys[k] = _row_keys(self.levels[k])
+        return self._keys[k]
+
+    def _find(self, k: int, simplex: Sequence[int]) -> int:
+        """ID of a vertex tuple at level k, or -1 when it is not a k-simplex."""
+        self._check_level(k)
+        if len(simplex) != k + 1:
+            return -1
+        keys = self._level_keys(k)
+        key = _row_keys(np.array([simplex], dtype=np.int64))
+        sid = int(np.searchsorted(keys, key)[0])
+        return sid if sid < len(keys) and keys[sid] == key[0] else -1
 
     def _check_level(self, k: int) -> None:
         if not 0 <= k <= self.max_level:
@@ -218,64 +234,41 @@ class CliqueComplex:
         return f"CliqueComplex(max_level={self.max_level}, counts={self.counts()})"
 
 
-def _degeneracy_order(graph: Graph) -> list[int]:
-    """Vertex order from repeatedly removing a minimum-degree vertex.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row: the row as big-endian int64 bytes, so that
+    keys order like the vertex tuples (vertex IDs are non-negative)."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
-    Ties break on the smallest vertex index, so the order is deterministic.
+
+ROW_BLOCK = 4096  # level-k rows per sparse product in the lift
+
+
+def _lift(level: np.ndarray, up: sparse.csr_matrix, rank: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The level above ``level``, rows in lexicographic order.
+
+    ``up`` points every edge from the lower to the higher (degree, index)
+    rank; ``rank`` maps vertices to ranks and ``order`` back.  Row s of
+    ``inc @ up``, with ``inc`` the simplex-by-rank incidence, counts for each
+    vertex w how many vertices of s rank below w and are adjacent to it: an
+    entry equal to the width of s extends s by its new top-ranked vertex w,
+    so each larger clique is found exactly once.  Ranking by degree keeps
+    hubs at the top, where their rows in ``up`` are short.
     """
-    n = graph.n
-    deg = [graph.degree(v) for v in range(n)]
-    removed = [False] * n
-    heap = [(deg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in graph.neighbors(v):
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order
-
-
-def _enumerate_cliques(graph: Graph, max_size: int) -> list[list[Simplex]]:
-    """All cliques of the graph with 1..max_size vertices, grouped by size.
-
-    Expansion follows the degeneracy order: a clique is grown only with
-    common neighbors that come later in the order, so each clique is emitted
-    exactly once and the candidate sets stay small on sparse graphs.
-    """
-    by_size: list[list[Simplex]] = [[] for _ in range(max_size + 1)]
-    if max_size < 1:
-        return by_size
-    order = _degeneracy_order(graph)
-    pos = [0] * graph.n
-    for p, v in enumerate(order):
-        pos[v] = p
-    succ = [
-        sorted((w for w in graph.neighbors(v) if pos[w] > pos[v]), key=lambda w: pos[w])
-        for v in range(graph.n)
-    ]
-
-    def grow(clique: list[int], cands: list[int]) -> None:
-        for i, v in enumerate(cands):
-            clique.append(v)
-            by_size[len(clique)].append(tuple(sorted(clique)))
-            if len(clique) < max_size:
-                nxt = [w for w in cands[i + 1 :] if w in graph.neighbors(v)]
-                if nxt:
-                    grow(clique, nxt)
-            clique.pop()
-
-    for v in order:
-        by_size[1].append((v,))
-        if max_size >= 2 and succ[v]:
-            grow([v], succ[v])
-    return by_size
+    n_k, width = level.shape
+    blocks = [np.empty((0, width + 1), dtype=np.int64)]
+    for start in range(0, n_k, ROW_BLOCK):
+        ranks = rank[level[start : start + ROW_BLOCK]]
+        inc = sparse.csr_matrix(
+            (np.ones(ranks.size, dtype=np.int32), ranks.ravel(), np.arange(0, ranks.size + 1, width)),
+            shape=(len(ranks), up.shape[0]),
+        )
+        hits = (inc @ up).tocoo()
+        full = hits.data == width
+        grown = np.column_stack([ranks[hits.row[full]], hits.col[full]])
+        blocks.append(np.sort(order[grown], axis=1))
+    grown = np.concatenate(blocks)
+    return grown[np.lexsort(grown.T[::-1])]
 
 
 def build_clique_complex(graph: Graph, max_level: int) -> CliqueComplex:
@@ -288,8 +281,16 @@ def build_clique_complex(graph: Graph, max_level: int) -> CliqueComplex:
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    by_size = _enumerate_cliques(graph, max_level + 1)
-    levels = [sorted(by_size[k + 1]) for k in range(max_level + 1)]
+    n = graph.n
+    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    degree = np.bincount(edges.ravel(), minlength=n)
+    order = np.argsort(degree, kind="stable")  # by (degree, index)
+    rank = np.argsort(order)
+    ends = np.sort(rank[edges], axis=1)
+    up = sparse.csr_matrix((np.ones(len(ends), dtype=np.int32), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    levels = [np.arange(n, dtype=np.int64).reshape(n, 1)]
+    for _ in range(max_level):
+        levels.append(_lift(levels[-1], up, rank, order))
     return CliqueComplex(graph, max_level, levels)
 
 

@@ -79,7 +79,7 @@ def project_to_nodes(c: CliqueComplex, scores: CentralityVector) -> CentralityVe
     if k < 1:
         raise ValueError("projection needs a level >= 1 centrality vector")
     n = c.graph.n
-    members = np.asarray(c.simplices(k), dtype=np.int64).reshape(-1)  # simplex by simplex
+    members = c.levels[k].reshape(-1)  # simplex by simplex
     totals = np.bincount(members, weights=np.repeat(scores.scores, k + 1), minlength=n)
     counts = np.bincount(members, minlength=n)
     out = np.divide(totals, counts, out=np.zeros(n), where=counts > 0)

@@ -335,13 +335,6 @@ def test_compute_dispatch_unknown_measure(fig):
         compute(fig, 1, "pagerank")
 
 
-def test_threaded_results_identical(fig):
-    for measure in ("closeness", "betweenness", "harmonic"):
-        single = compute(fig, 1, measure, threads=1).scores
-        multi = compute(fig, 1, measure, threads=4).scores
-        assert (single == multi).all()
-
-
 SPECTRAL = ("katz", "eigenvector", "subgraph")
 
 

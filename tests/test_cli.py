@@ -232,13 +232,27 @@ def test_threads_flag_does_not_change_results(fig_file, tmp_path):
     assert strip(a) == strip(b)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit-degree", "--level", "1", "--families", "gamma,gamma,normal"], "--families lists 'gamma' more than once"),
+    (["correlate", "--level", "1", "--measure", "degree,degree"], "--measure lists 'degree' more than once"),
+    (["distance", "--level", "1,2,1"], "--level lists 1 more than once"),
+], ids=["families", "measure", "level"])
+def test_repeated_value_exits_2_naming_it(fig_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main([argv[0], fig_file, *argv[1:], "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_metadata_lines_echo_config(fig_file, tmp_path):
     out = tmp_path / "m.csv"
     assert main(["build", fig_file, "-o", str(out), "--threads", "2"]) == 0
     lines = open(out).read().splitlines()
     assert lines[0].startswith("# simplicent ")
     config = json.loads(lines[1].split("# config: ")[1])
-    assert config["threads"] == 2
+    assert "threads" not in config
     assert config["input"] == fig_file
     assert config["version"]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cliques, er_graph
+from oracles import brute_cliques, er_blocks_graph, er_graph
+from simplicent import complexes
 from simplicent import (
     Graph,
     build_clique_complex,
@@ -81,9 +82,13 @@ class TestBuild:
     def test_registry_is_lexicographic_and_deterministic(self, fig_graph):
         c1 = build_clique_complex(fig_graph, 3)
         c2 = build_clique_complex(fig_graph, 3)
-        assert c1.levels == c2.levels
-        for level in c1.levels:
-            assert level == sorted(level)
+        assert len(c1.levels) == len(c2.levels) == 4
+        for k, (level, again) in enumerate(zip(c1.levels, c2.levels)):
+            assert level.dtype == np.int64 and level.shape == (c1.n_simplices(k), k + 1)
+            assert np.array_equal(level, again)
+            assert (np.diff(level, axis=1) > 0).all()  # vertices strictly increase within a row
+            rows = list(map(tuple, level.tolist()))
+            assert all(a < b for a, b in zip(rows, rows[1:]))  # rows strictly increase
 
     def test_count_identities(self, fig, fig_graph):
         assert fig.n_simplices(0) == fig_graph.n
@@ -116,6 +121,24 @@ class TestBuild:
         for k in range(4):
             assert set(c.simplices(k)) == by_size[k + 1]
 
+    def test_lookup_of_non_simplices(self, fig):
+        empty_level = build_clique_complex(Graph(["a", "b"], []), 2)
+        cases = [
+            (fig, 1, (0, 8)),  # absent edge
+            (fig, 2, (0, 1, 4)),  # absent triangle
+            (fig, 1, (1, 0)),  # an edge, unsorted
+            (fig, 2, (1, 0, 2)),  # a triangle, unsorted
+            (fig, 1, (0, 1, 2)),  # too long
+            (fig, 2, (0, 1)),  # too short
+            (fig, 0, ()),
+            (empty_level, 1, (0, 1)),
+            (empty_level, 2, (0, 1, 2)),
+        ]
+        for c, k, simplex in cases:
+            assert not c.has_simplex(k, simplex)
+            with pytest.raises(KeyError):
+                c.simplex_id(k, simplex)
+
     def test_boundary_columns_hold_faces(self, fig):
         for k in range(1, 4):
             b = fig.boundary(k)
@@ -125,6 +148,33 @@ class TestBuild:
                 faces = sorted(fig.simplex_id(k - 1, simplex[:d] + simplex[d + 1 :]) for d in range(k + 1))
                 assert np.flatnonzero(column).tolist() == faces
                 assert (column[faces] == 1).all() and len(faces) == k + 1
+
+
+def _hub_graph(leaves: int, hub_last: bool, rim: bool) -> Graph:
+    """A star on ``leaves`` leaves, the hub first or last in vertex order;
+    with ``rim``, consecutive leaves are joined too (a fan of triangles)."""
+    hub = leaves if hub_last else 0
+    rest = [v for v in range(leaves + 1) if v != hub]
+    edges = [(min(hub, v), max(hub, v)) for v in rest]
+    if rim:
+        edges += list(zip(rest, rest[1:]))
+    return Graph([str(v) for v in range(leaves + 1)], edges)
+
+
+LIFT_GRAPHS = (
+    [er_blocks_graph(np.random.default_rng(seed)) for seed in range(6)]
+    + [er_graph(14, 0.7, np.random.default_rng(0))]  # cliques up to level 4
+    + [_hub_graph(9, hub_last, rim) for hub_last in (False, True) for rim in (False, True)]
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, complexes.ROW_BLOCK])
+def test_lift_matches_brute_force_at_every_row_block(monkeypatch, block):
+    monkeypatch.setattr(complexes, "ROW_BLOCK", block)
+    for g in LIFT_GRAPHS:
+        for k, level in enumerate(build_clique_complex(g, 4).levels):
+            want = np.array(sorted(brute_cliques(g, k + 1)), dtype=np.int64).reshape(-1, k + 1)
+            assert level.dtype == want.dtype and level.shape == want.shape and np.array_equal(level, want)
 
 
 class TestFamilies:
