@@ -44,11 +44,17 @@ class LevelAdjacency:
         return f"LevelAdjacency(level={self.level}, kind={self.kind!r}, n={self.n})"
 
 
-def _offdiag(prod: sparse.spmatrix) -> sparse.csr_matrix:
-    """A simplex-by-simplex product without its diagonal, as int8 CSR."""
-    prod = prod.tocoo()
-    keep = prod.row != prod.col
-    return sparse.csr_matrix((prod.data[keep].astype(np.int8), (prod.row[keep], prod.col[keep])), shape=prod.shape)
+def _offdiag(prod: sparse.csr_matrix) -> sparse.csr_matrix:
+    """A simplex-by-simplex CSR product without its diagonal, as int8 CSR.
+
+    The diagonal is zeroed and eliminated in place, so no entry is inserted
+    where none is stored, and the result shares the product's index arrays.
+    """
+    rows = np.repeat(np.arange(prod.shape[0], dtype=prod.indices.dtype), np.diff(prod.indptr))
+    prod.data[prod.indices == rows] = 0
+    prod.eliminate_zeros()
+    prod.sort_indices()
+    return sparse.csr_matrix((prod.data.astype(np.int8), prod.indices, prod.indptr), shape=prod.shape)
 
 
 def lower_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
@@ -60,7 +66,7 @@ def lower_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     if k == 0:
         return LevelAdjacency(0, "lower", sparse.csr_matrix((n, n), dtype=np.int8), c)
     b = c.boundary(k)
-    return LevelAdjacency(k, "lower", _offdiag(b.T @ b), c)
+    return LevelAdjacency(k, "lower", _offdiag(b.T.tocsr() @ b), c)
 
 
 def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:

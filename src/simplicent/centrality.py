@@ -7,18 +7,18 @@ the spectral family (Katz, eigenvector, subgraph centrality,
 communicability) works on the same matrix:
 
 * Katz solves ``(I - alpha*A) x = 1`` for ``0 < alpha < 1/lambda_1`` by
-  conjugate gradients at every level size,
+  conjugate gradients,
 * eigenvector centrality is the principal eigenvector of ``A``,
 * subgraph centrality is ``exp(A)_ii`` and communicability ``exp(A)_ij``.
 
-Up to ``dense_limit`` simplices every spectral quantity (lambda_1, the
-dominant eigenspace, ``exp(A)``) is read from one symmetric
-eigendecomposition of the level, computed on first use and kept on the
-complex in a single slot that a request for another level replaces.  Above
-the limit the principal eigenpair is found iteratively, one connected
-component at a time, and the exponential diagonal falls back to a
-per-simplex truncated series whose order is chosen from the remainder bound
-``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
+Katz and eigenvector centrality need only lambda_1 and its (Perron)
+eigenspace, which are found iteratively, one connected component at a time,
+at every level size.  The exponential measures read ``exp(A)`` from one
+symmetric eigendecomposition of the level, allowed up to ``dense_limit``
+simplices, computed on first use and kept on the complex in a single slot
+that a request for another level replaces.  Above the limit the exponential
+diagonal falls back to a per-simplex truncated series whose order is chosen
+from the remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
 ``e**lambda_1`` overflows float64 the exponential measures refuse the level
 instead of returning ``inf``.
 """
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 
 from .adjacency import LevelAdjacency, combined_adjacency
@@ -164,7 +165,8 @@ def spectral_decomposition(
         )
     spec = c._spectrum
     if spec is None or spec.level != k:
-        w, v = np.linalg.eigh(combined_adjacency(c, k).mat.astype(np.float64).toarray())
+        dense = combined_adjacency(c, k).mat.astype(np.float64).toarray()
+        w, v = eigh(dense, driver="evd", overwrite_a=True, check_finite=False)
         w, v = w[::-1].copy(), v[:, ::-1].copy()
         w.flags.writeable = v.flags.writeable = False
         spec = c._spectrum = SpectralDecomposition(k, w, v)
@@ -192,8 +194,11 @@ def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
     u * (u . 1) over them; an iteration on the whole matrix would return an
     arbitrary vector of a degenerate eigenspace instead.  A component's
     largest eigenvalue is at most its largest degree, so components are
-    visited by descending largest degree until none can reach lambda_1.
+    visited by descending largest degree until none can reach lambda_1.  A
+    level without adjacencies has lambda_1 = 0 and returns the zero vector.
     """
+    if adj.mat.nnz == 0:
+        return 0.0, np.zeros(adj.n)
     labels = components_of(adj).labels
     mat = adj.mat.astype(np.float64)
     reach = np.zeros(labels.max() + 1)
@@ -217,31 +222,18 @@ def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
-def _lambda_max(adj: LevelAdjacency, dense_limit: int) -> float:
-    if adj.mat.nnz == 0:
-        return 0.0
-    if adj.n <= dense_limit:
-        return float(spectral_decomposition(adj.complex, adj.level, dense_limit).eigenvalues[0])
-    return _principal_by_component(adj)[0]
-
-
-def katz(
-    c: CliqueComplex,
-    k: int,
-    alpha: float | None = None,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-) -> CentralityVector:
+def katz(c: CliqueComplex, k: int, alpha: float | None = None) -> CentralityVector:
     """Damped walk-sum centrality ``x = (I - alpha*A)^-1 1``.
 
     ``alpha`` must lie in (0, 1/lambda_1); the default is 0.5/lambda_1, safely
     inside the convergence region.  With an all-isolated level every score is
-    1 for any positive alpha.  ``dense_limit`` only chooses how lambda_1 is
-    found; the system is solved by conjugate gradients at every size, and a
+    1 for any positive alpha.  lambda_1 is found iteratively, one connected
+    component at a time, and the system is solved by conjugate gradients; a
     solve whose true residual stays large raises NonConvergenceError.
     """
     adj = combined_adjacency(c, k)
     n = adj.n
-    lam = _lambda_max(adj, dense_limit)
+    lam = _principal_by_component(adj)[0]
     if alpha is None:
         alpha = 0.5 / lam if lam > 0 else 0.5
     if alpha <= 0 or (lam > 0 and alpha >= 1.0 / lam):
@@ -264,34 +256,18 @@ def katz(
     return CentralityVector(k, "katz", scores, params=params)
 
 
-def eigenvector_centrality(
-    c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT
-) -> CentralityVector:
-    """Principal eigenvector of the combined adjacency: nonnegative entries,
-    unit Euclidean norm, sign fixed by making the largest-magnitude entry
-    positive.  With a degenerate lambda_1 the vector is the all-ones vector
-    projected onto the dominant eigenspace, on both branches.  A level with no
-    adjacencies (lambda_1 = 0) has no principal eigenvector and is rejected.
+def eigenvector_centrality(c: CliqueComplex, k: int) -> CentralityVector:
+    """Principal eigenvector of the combined adjacency, with nonnegative
+    entries and unit Euclidean norm: the all-ones vector projected onto the
+    dominant eigenspace, found iteratively one connected component at a time,
+    so a degenerate lambda_1 still gives the nonnegative limit of A^m 1.  A
+    level with no adjacencies (lambda_1 = 0) has no principal eigenvector and
+    is rejected.
     """
     adj = combined_adjacency(c, k)
-    n = adj.n
-    if n == 0 or adj.mat.nnz == 0:
+    if adj.mat.nnz == 0:
         raise ValueError("no principal eigenvector at this level (lambda_1 = 0)")
-    if n <= dense_limit:
-        spec = spectral_decomposition(c, k, dense_limit)
-        w, v = spec.eigenvalues, spec.eigenvectors
-        lam = float(w[0])
-        # With a degenerate top eigenvalue (identical components), project the
-        # all-ones vector onto the dominant eigenspace, the leading columns:
-        # the limit of A^m 1 is nonnegative, which a single column need not be.
-        basis = v[:, : np.count_nonzero(w >= lam - 1e-9 * max(1.0, abs(lam)))]
-        vec = basis @ (basis.T @ np.ones(n))
-        if np.linalg.norm(vec) < 1e-12:
-            vec = v[:, 0]
-    else:
-        lam, vec = _principal_by_component(adj)
-    if vec[np.abs(vec).argmax()] < 0:
-        vec = -vec
+    lam, vec = _principal_by_component(adj)
     vec = np.where(np.abs(vec) < 1e-14, 0.0, vec)
     vec = vec / np.linalg.norm(vec)
     return CentralityVector(k, "eigenvector", vec, params={"lambda1": lam})
@@ -341,7 +317,7 @@ def subgraph_centrality(
         return CentralityVector(k, "subgraph", scores, params={"method": "dense"})
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
-    lam = _lambda_max(adj, dense_limit)
+    lam = _principal_by_component(adj)[0]
     order = _series_order(lam, series_tol)
     mat = adj.mat.astype(np.float64)
 
@@ -389,9 +365,9 @@ def compute(
     if measure == "betweenness":
         return betweenness(c, k, normalized=normalized)
     if measure == "katz":
-        return katz(c, k, alpha=alpha, dense_limit=dense_limit)
+        return katz(c, k, alpha=alpha)
     if measure == "eigenvector":
-        return eigenvector_centrality(c, k, dense_limit=dense_limit)
+        return eigenvector_centrality(c, k)
     if measure == "subgraph":
         return subgraph_centrality(c, k, dense_limit=dense_limit)
     raise ValueError(f"unknown measure {measure!r}; known: {', '.join(MEASURES)}")

@@ -332,7 +332,9 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     # every stage runs in one thread; the option is still parsed, and ignored,
     # so that existing command lines (perfbench's among them) keep working
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit")
+    parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit",
+                        help="largest level, in simplices, given the dense eigendecomposition that "
+                             f"subgraph and communicability use (default {DEFAULT_DENSE_LIMIT})")
 
 
 def _build_parser() -> argparse.ArgumentParser:

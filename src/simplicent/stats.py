@@ -36,7 +36,7 @@ import numpy as np
 from scipy import optimize, special
 
 from .adjacency import combined_adjacency
-from .centrality import CentralityVector, compute
+from .centrality import DEFAULT_DENSE_LIMIT, CentralityVector, compute
 from .complexes import CliqueComplex
 from .essential import project_to_nodes
 
@@ -415,7 +415,7 @@ def correlation_table(
     c: CliqueComplex,
     measures: tuple[str, ...] = ("degree", "subgraph", "closeness"),
     levels: tuple[int, ...] = (0, 1, 2),
-    dense_limit: int = 5_000,
+    dense_limit: int = DEFAULT_DENSE_LIMIT,
 ) -> CorrelationTable:
     raw: dict[tuple[int, str], CentralityVector] = {}
     node_view: dict[tuple[int, str], CentralityVector] = {}

@@ -1,6 +1,7 @@
 """Lower/upper/combined adjacency, simplex degrees, underlying networks."""
 
 import functools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -104,6 +105,20 @@ class TestFamilies:
         assert net.n == l and net.m == l - 1
         assert sorted(net.degree(i) for i in range(l)) == [1, 1] + [2] * (l - 2)
 
+    def test_star_level_drops_the_diagonal_in_place(self):
+        # level 1 of the 5000-leaf star is K_5000: the lower product stores
+        # 25 million entries, so copying it to drop its diagonal would
+        # double the memory the level needs
+        c = generate_S(5000, 1)
+        tracemalloc.start()
+        try:
+            comb = combined_adjacency(c, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comb.mat.nnz == 5000 * 4999
+        assert peak < 450e6
+
 
 class TestContracts:
     def test_lower_at_level0_is_zero(self, fig):
@@ -202,9 +217,10 @@ def test_random_graphs_match_brute_force_definitions(make_complex):
         _, want_upper = brute_adjacency(g, k, "upper")
         _, want_comb = brute_adjacency(g, k, "combined")
         assert list(c.simplices(k)) == sims
-        low = lower_adjacency(c, k).mat.toarray()
-        up = upper_adjacency(c, k).mat.toarray()
-        comb = combined_adjacency(c, k).mat.toarray()
+        mats = [lower_adjacency(c, k).mat, upper_adjacency(c, k).mat, combined_adjacency(c, k).mat]
+        for mat in mats:
+            assert mat.dtype == np.int8 and mat.has_canonical_format and (mat.data == 1).all()
+        low, up, comb = (mat.toarray() for mat in mats)
         assert (low == want_lower).all()
         assert (up == want_upper).all()
         assert (comb == want_comb).all()

@@ -18,7 +18,6 @@ from oracles import (
     random_growth_complex,
 )
 from simplicent import NonConvergenceError, centrality, paths
-from simplicent.centrality import DEFAULT_DENSE_LIMIT
 from simplicent import (
     betweenness,
     build_clique_complex,
@@ -353,18 +352,26 @@ BRANCH_INPUTS = [
 
 @pytest.mark.parametrize("make_complex", BRANCH_INPUTS)
 def test_sparse_branches_match_dense(make_complex):
+    """The iterative Perron path against a full dense eigendecomposition:
+    lambda_1, the Katz scores at the default alpha, and the all-ones vector
+    projected onto the dominant eigenspace (degenerate on er-blocks-2 and -5)."""
     c = make_complex()
     for k in range(c.max_level):
-        dense_katz = katz(c, k)
-        sparse_katz = katz(c, k, dense_limit=0)
-        lam = dense_katz.params["lambda1"]
-        assert sparse_katz.params["lambda1"] == pytest.approx(lam, rel=1e-10, abs=1e-12)
-        assert np.allclose(sparse_katz.scores, dense_katz.scores, rtol=1e-9, atol=0)
-        if lam == 0:
+        mat = combined_adjacency(c, k).mat.toarray().astype(np.float64)
+        w, v = np.linalg.eigh(mat)
+        lam = float(w.max()) if w.size else 0.0
+        got = katz(c, k)
+        assert got.params["lambda1"] == pytest.approx(lam, rel=1e-10, abs=1e-12)
+        want = np.linalg.solve(np.eye(mat.shape[0]) - got.params["alpha"] * mat, np.ones(mat.shape[0]))
+        assert np.allclose(got.scores, want, rtol=1e-9, atol=0)
+        if not mat.any():
             continue
-        dense_vec = eigenvector_centrality(c, k).scores
-        sparse_vec = eigenvector_centrality(c, k, dense_limit=0).scores
-        assert np.allclose(sparse_vec, dense_vec, atol=1e-8)
+        basis = v[:, w >= lam - 1e-9 * max(1.0, lam)]
+        want_vec = basis @ (basis.T @ np.ones(mat.shape[0]))
+        want_vec /= np.linalg.norm(want_vec)
+        got_vec = eigenvector_centrality(c, k)
+        assert got_vec.params["lambda1"] == pytest.approx(lam, rel=1e-10, abs=1e-12)
+        assert np.allclose(got_vec.scores, want_vec, atol=1e-8)
 
 
 @pytest.mark.parametrize("make_complex", BRANCH_INPUTS)
@@ -378,9 +385,8 @@ def test_katz_matches_direct_solve(make_complex, fraction):
             continue
         alpha = fraction / lam
         want = np.linalg.solve(np.eye(mat.shape[0]) - alpha * mat, np.ones(mat.shape[0]))
-        for dense_limit in (DEFAULT_DENSE_LIMIT, 0):
-            got = katz(c, k, alpha=alpha, dense_limit=dense_limit).scores
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        got = katz(c, k, alpha=alpha).scores
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_katz_fails_loudly_when_the_solve_does_not_converge(fig, monkeypatch):
@@ -412,15 +418,21 @@ def test_spectral_scores_do_not_depend_on_measure_order(seed):
 class TestSpectralCache:
     @staticmethod
     def _count_eigensolves(monkeypatch):
+        """Record every dense symmetric eigensolve: the scipy ``eigh`` that
+        :mod:`simplicent.centrality` calls as ``eigh``, and numpy's."""
         calls = []
-        for name in ("eigh", "eigvalsh"):
-            original = getattr(np.linalg, name)
+        for module, name, label in (
+            (centrality, "eigh", "eigh"),
+            (np.linalg, "eigh", "numpy.linalg.eigh"),
+            (np.linalg, "eigvalsh", "numpy.linalg.eigvalsh"),
+        ):
+            original = getattr(module, name)
 
-            def counted(a, *args, _original=original, _name=name, **kwargs):
-                calls.append((_name, a.shape[0]))
+            def counted(a, *args, _original=original, _label=label, **kwargs):
+                calls.append((_label, a.shape[0]))
                 return _original(a, *args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_one_decomposition_per_level(self, monkeypatch):
@@ -433,6 +445,14 @@ class TestSpectralCache:
             for p in range(20):
                 communicability(c, k, p % n, (7 * p + 1) % n)
             assert calls == [("eigh", c.n_simplices(j)) for j in range(k + 1)]
+
+    def test_katz_and_eigenvector_make_no_dense_decomposition(self, monkeypatch):
+        c = example_complex(3)
+        calls = self._count_eigensolves(monkeypatch)
+        for k in range(3):
+            for measure in ("katz", "eigenvector"):
+                compute(c, k, measure)
+        assert calls == [] and c._spectrum is None
 
     def test_cached_arrays_are_read_only(self):
         spec = spectral_decomposition(example_complex(3), 1)

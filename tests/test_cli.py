@@ -2,11 +2,12 @@
 
 import csv
 import json
+import math
 import re
 
 import pytest
 
-from simplicent import example_graph, write_edge_list
+from simplicent import MEASURES, example_graph, write_edge_list
 from simplicent.cli import main
 
 
@@ -14,6 +15,17 @@ from simplicent.cli import main
 def fig_file(tmp_path):
     path = tmp_path / "fig.txt"
     write_edge_list(example_graph(), str(path))
+    return str(path)
+
+
+@pytest.fixture(params=[("S", "6", "2"), ("T", "2", "2", "0", "3"), ("P", "7", "2"), None],
+                ids=["S-6-2", "T-2-203", "P-7-2", "fig"])
+def small_file(request, tmp_path, fig_file):
+    """A family member from ``simplicent generate``, or the 9-node example."""
+    if request.param is None:
+        return fig_file
+    path = tmp_path / "family.txt"
+    assert main(["generate", *request.param, "-o", str(path)]) == 0
     return str(path)
 
 
@@ -113,6 +125,26 @@ class TestCentrality:
         assert main(["centrality", fig_file, "--level", "1", "--measure", "subgraph",
                      "--dense-limit", "4"]) == 2
         assert "--dense-limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_every_exit_0_score_is_finite(self, small_file, tmp_path, measure):
+        for k in range(3):
+            out = tmp_path / f"cent{k}.csv"
+            if main(["centrality", small_file, "--level", str(k), "--measure", measure, "-o", str(out)]) != 0:
+                continue
+            _, rows = read_csv(str(out))
+            bad = [row for row in rows if row[3] == "NA" or not math.isfinite(float(row[3]))]
+            assert not bad, (k, bad)
+
+    def test_dense_limit_does_not_reach_katz_or_eigenvector(self, small_file, tmp_path):
+        bodies = []
+        for limit in ([], ["--dense-limit", "0"]):
+            out = tmp_path / "cent.csv"
+            assert main(["centrality", small_file, "--level", "1", "--measure", "katz,eigenvector",
+                         "-o", str(out), *limit]) == 0
+            with open(out, encoding="utf-8") as fh:
+                bodies.append([line for line in fh if not line.startswith("#")])
+        assert bodies[0] == bodies[1]
 
     def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys):
         star = tmp_path / "s800.txt"
