@@ -13,6 +13,7 @@ from .adjacency import (
     interaction_count,
     lower_adjacency,
     simplex_degree,
+    simplex_degrees,
     underlying_network,
     upper_adjacency,
     write_matrix,

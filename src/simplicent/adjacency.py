@@ -11,6 +11,7 @@ view is the "underlying network of simplices".
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,13 +77,17 @@ def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     Requires level k+1 to be materialized; otherwise the result would be
     silently understated, so the call is rejected instead.
     """
+    _check_depth(c, k)
+    b = c.boundary(k + 1)
+    return LevelAdjacency(k, "upper", _offdiag(b @ b.T), c)
+
+
+def _check_depth(c: CliqueComplex, k: int) -> None:
     if c.max_level < k + 1:
         raise InsufficientDepthError(
             f"insufficient complex depth: upper adjacency at level {k} needs "
             f"level {k + 1} materialized (max_level={c.max_level})"
         )
-    b = c.boundary(k + 1)
-    return LevelAdjacency(k, "upper", _offdiag(b @ b.T), c)
 
 
 def combined_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
@@ -105,6 +110,25 @@ def combined_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     return LevelAdjacency(k, "combined", c._combined[k], c)
 
 
+def simplex_degrees(c: CliqueComplex, k: int) -> np.ndarray:
+    """Combined degree of every k-simplex (int64), from boundary row sums
+    without forming B^T B: ``combined_adjacency(c, k).degrees()``.
+
+    At k = 0 it is B_1 1, the vertex degrees.  For k >= 1 a k-simplex has
+    lower degree B_k^T (B_k 1) - (k+1), its k+1 faces' other cofaces, and
+    upper degree (k+1) B_{k+1} 1, the k+1 other faces of each of its
+    cofaces; the counts are exact because two k-simplices share at most one
+    face and one coface, and the combined degree is their difference.
+    Requires level k+1, as :func:`upper_adjacency` does.
+    """
+    _check_depth(c, k)
+    cofaces = np.diff(c.boundary(k + 1).indptr).astype(np.int64)
+    if k == 0:
+        return cofaces
+    b = c.boundary(k)
+    return b.T @ np.diff(b.indptr).astype(np.int64) - (k + 1) * (1 + cofaces)
+
+
 def simplex_degree(a: LevelAdjacency, i: int) -> int:
     """Number of other k-simplices adjacent to simplex ``i`` (row sum)."""
     if a.kind != "combined":
@@ -122,22 +146,17 @@ def underlying_network(a: LevelAdjacency) -> Graph:
     combined adjacencies; node labels render the simplices' vertex labels."""
     if a.kind != "combined":
         raise ValueError(f"underlying network is defined on combined adjacency, got {a.kind!r}")
-    coo = a.mat.tocoo()
-    edges = [(int(i), int(j)) for i, j in zip(coo.row, coo.col) if i < j]
-    labels = [a.complex.simplex_label(a.level, sid) for sid in range(a.n)]
-    return Graph(labels, edges)
+    pairs = sparse.triu(a.mat, k=1, format="coo")
+    return Graph(a.complex.simplex_labels(a.level), np.column_stack([pairs.row, pairs.col]))
 
 
 def write_matrix(a: LevelAdjacency, path: str, sidecar_path: str) -> None:
     """Export as coordinate-format text (``i j`` per unordered pair, 0-based
     IDs) plus a sidecar mapping ID -> vertex tuple."""
-    coo = a.mat.tocoo()
+    pairs = sparse.triu(a.mat, k=1, format="coo")  # row-major, as the rows of the matrix
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# level {a.level} kind {a.kind} n {a.n}\n")
-        for i, j in zip(coo.row, coo.col):
-            if i < j:
-                fh.write(f"{i} {j}\n")
+        fh.writelines(map("{} {}\n".format, pairs.row.tolist(), pairs.col.tolist()))
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         fh.write("# id\tvertices\n")
-        for sid in range(a.n):
-            fh.write(f"{sid}\t{a.complex.simplex_label(a.level, sid)}\n")
+        fh.writelines(map("{}\t{}\n".format, itertools.count(), a.complex.simplex_labels(a.level)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -113,14 +114,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
-    """Write rows as CSV ('#'-prefixed metadata lines) or JSON, to the output
-    path or stdout.  UTF-8, newline-terminated, '.' decimal."""
+def _cells(column) -> list[str]:
+    """A column's CSV cells by :func:`_fmt`'s rules.  A list is formatted
+    value by value, a numpy array in one pass by its dtype."""
+    if not isinstance(column, np.ndarray):
+        return list(map(_fmt, column))
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    if ((np.abs(column) < 1e12) & (column == np.trunc(column))).all() and not np.signbit(column).any():
+        return list(map(str, column.astype(np.int64).tolist()))  # .12g writes these whole numbers as integers
+    cells = list(map(format, column.tolist(), itertools.repeat(".12g")))
+    for i in np.flatnonzero(np.isnan(column) | np.isneginf(column)).tolist():
+        cells[i] = "NA" if math.isnan(column[i]) else "inf"
+    return cells
+
+
+def _json_values(column) -> list:
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [None if isinstance(v, float) and math.isnan(v) else v for v in values]
+
+
+def _emit(cfg: RunConfig, header: list[str], columns: list) -> None:
+    """Write equal-length columns, each a list or a numpy array, as CSV rows
+    ('#'-prefixed metadata lines) or JSON, to the output path or stdout.
+    UTF-8, newline-terminated, '.' decimal."""
     if cfg.format == "json":
         payload = {
             "metadata": cfg.metadata(),
-            "columns": columns,
-            "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows],
+            "columns": header,
+            "rows": list(zip(*map(_json_values, columns))),
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -128,15 +150,31 @@ def _emit(cfg: RunConfig, columns: list[str], rows: list[list]) -> None:
         buf.write(f"# simplicent {__version__}\n")
         buf.write(f"# config: {json.dumps(cfg.metadata(), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns)))
         text = buf.getvalue()
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+    _emit(cfg, header, [list(column) for column in zip(*rows)] if rows else [[]] * len(header))
+
+
+def _simplex_columns(c: CliqueComplex, levels: list[int], scores: list[list[np.ndarray]]) -> list:
+    """Columns of one row per simplex of each level in turn: level, id and
+    vertices, then one float column per entry of ``scores``, which holds an
+    array per level."""
+    counts = [c.n_simplices(k) for k in levels]
+    return [
+        np.repeat(np.array(levels, dtype=np.int64), counts),
+        np.concatenate([np.zeros(0, dtype=np.int64), *map(np.arange, counts)]),
+        np.array(list(itertools.chain.from_iterable(map(c.simplex_labels, levels))), dtype=object),
+        *(np.concatenate([np.zeros(0), *per_level]) for per_level in scores),
+    ]
 
 
 def _load_complex(cfg: RunConfig) -> CliqueComplex:
@@ -167,37 +205,24 @@ def _cmd_build(cfg: RunConfig) -> int:
         count = c.n_simplices(k)
         inter = interaction_count(combined_adjacency(c, k)) if k < cfg.max_level else None
         rows.append([k, _level_name(k), count, inter])
-    _emit(cfg, ["level", "name", "simplices", "interactions"], rows)
+    _emit_rows(cfg, ["level", "name", "simplices", "interactions"], rows)
     return 0
 
 
 def _cmd_centrality(cfg: RunConfig) -> int:
     c = _load_complex(cfg)
-    rows = []
-    columns = ["level", "id", "vertices"] + list(cfg.measures)
+    scores: list[list[np.ndarray]] = [[] for _ in cfg.measures]
     for k in cfg.levels:
-        vectors = [
-            compute(
-                c,
-                k,
-                m,
-                normalized=cfg.normalized,
-                alpha=cfg.alpha,
-                dense_limit=cfg.dense_limit,
-            )
-            for m in cfg.measures
-        ]
-        for sid in range(c.n_simplices(k)):
-            rows.append(
-                [k, sid, c.simplex_label(k, sid)] + [float(vec.scores[sid]) for vec in vectors]
-            )
-    _emit(cfg, columns, rows)
+        for per_level, m in zip(scores, cfg.measures):
+            vec = compute(c, k, m, normalized=cfg.normalized, alpha=cfg.alpha, dense_limit=cfg.dense_limit)
+            per_level.append(vec.scores)
+    _emit(cfg, ["level", "id", "vertices"] + list(cfg.measures), _simplex_columns(c, cfg.levels, scores))
     return 0
 
 
 def _cmd_distance(cfg: RunConfig) -> int:
     c = _load_complex(cfg)
-    rows = []
+    eccentricities = []
     for k in cfg.levels:
         summary = level_summary(c, k)
         sizes = "+".join(str(s) for s in sorted(summary.component_sizes, reverse=True))
@@ -206,9 +231,8 @@ def _cmd_distance(cfg: RunConfig) -> int:
             f"level {k}: {summary.n} simplices, {len(summary.component_sizes)} components "
             f"[{sizes}], diameter {_fmt(summary.diameter)}, avg path length per component [{lks}]"
         )
-        for sid in range(summary.n):
-            rows.append([k, sid, c.simplex_label(k, sid), float(summary.eccentricities[sid])])
-    _emit(cfg, ["level", "id", "vertices", "eccentricity"], rows)
+        eccentricities.append(summary.eccentricities)
+    _emit(cfg, ["level", "id", "vertices", "eccentricity"], _simplex_columns(c, cfg.levels, [eccentricities]))
     return 0
 
 
@@ -235,7 +259,7 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
                 "ok" if fit.success else fit.message,
             ]
         )
-    _emit(cfg, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], rows)
+    _emit_rows(cfg, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], rows)
     print(f"level {k} ({dist.sample.size} degrees): selection {selection.label} ({selection.verdict})")
     width = max(len(r[0]) for r in rows)
     for row in rows:
@@ -264,7 +288,7 @@ def _cmd_correlate(cfg: RunConfig) -> int:
     rows = [[label, *table.matrix[i].tolist()] for i, label in enumerate(table.labels)]
     for (ka, kb), value in table.averages.items():
         rows.append([f"avg:level{ka}~level{kb}"] + [value] + [math.nan] * (len(table.labels) - 1))
-    _emit(cfg, ["ranking"] + table.labels, rows)
+    _emit_rows(cfg, ["ranking"] + table.labels, rows)
     for (ka, kb), value in table.averages.items():
         print(f"<r_{ka},{kb}> = {_fmt(value)}")
     return 0
@@ -287,7 +311,7 @@ def _cmd_essential(cfg: RunConfig) -> int:
     baseline = random_baseline(c.graph.n, flags, grid, seed=cfg.seed, repetitions=cfg.repetitions)
     for x, count, pct in zip(baseline.grid, baseline.counts, baseline.percentages):
         rows.append(["random", None, x, count, pct])
-    _emit(cfg, ["measure", "level", "x", "count", "percentage"], rows)
+    _emit_rows(cfg, ["measure", "level", "x", "count", "percentage"], rows)
     return 0
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -28,30 +28,43 @@ class Graph:
 
     Nodes are addressed by dense integer indices ``0..n-1``; ``labels`` keeps
     the mapping back to the original identifiers (protein names, numbers in a
-    figure, ...).  Self-loops and duplicate edges are rejected here; lenient
-    cleaning belongs to the edge-list readers.
+    figure, ...).  ``edge_array`` holds the edges as a read-only m x 2 int64
+    array, one ``(u, v)`` row with ``u < v`` per edge, rows sorted; ``edges``
+    gives the same pairs as tuples.  Neighbour sets are built on first use.
+    Self-loops and duplicate edges are rejected here; lenient cleaning
+    belongs to the edge-list readers.
     """
 
-    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
+    def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] | np.ndarray):
         self.labels: list[str] = list(labels)
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
-        seen: set[tuple[int, int]] = set()
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} nodes")
-            if u == v:
-                raise ValueError(f"self-loop on node {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        self.edges: list[tuple[int, int]] = sorted(seen)
-        self._adj = adj
+        ends = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if ends.size == 0:
+            ends = ends.reshape(0, 2)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        bad = np.flatnonzero(((ends < 0) | (ends >= n)).any(axis=1))
+        if bad.size:
+            u, v = ends[bad[0]].tolist()
+            raise ValueError(f"edge ({u},{v}) out of range for {n} nodes")
+        loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+        if loops.size:
+            raise ValueError(f"self-loop on node {ends[loops[0], 0]}")
+        ends = np.sort(ends, axis=1)
+        ends = ends[np.argsort(ends[:, 0] * n + ends[:, 1], kind="stable")]
+        dup = np.flatnonzero((ends[1:] == ends[:-1]).all(axis=1))
+        if dup.size:
+            raise ValueError(f"duplicate edge {tuple(ends[dup[0]].tolist())}")
+        ends.flags.writeable = False
+        self.edge_array = ends
+        self._adj: list[set[int]] | None = None
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The edges as sorted ``(u, v)`` pairs with ``u < v``."""
+        return list(map(tuple, self.edge_array.tolist()))
 
     @property
     def n(self) -> int:
@@ -59,13 +72,19 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def neighbors(self, i: int) -> set[int]:
+        if self._adj is None:
+            adj: list[set[int]] = [set() for _ in range(self.n)]
+            for u, v in self.edge_array.tolist():
+                adj[u].add(v)
+                adj[v].add(u)
+            self._adj = adj
         return self._adj[i]
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self.neighbors(i))
 
     def index_of(self, label: str) -> int:
         try:
@@ -94,50 +113,50 @@ class EdgeListReport:
     dropped_duplicates: int = 0
 
 
-def parse_edge_list(lines: Iterable[str]) -> tuple[Graph, EdgeListReport]:
+def parse_edge_list(lines: Iterable[str] | TextIO) -> tuple[Graph, EdgeListReport]:
     """Parse a plain-text edge list: one edge per line, two whitespace-separated
     labels, lines starting with ``#`` ignored.  Duplicate edges and self-loops
     are dropped and counted in the report.
+
+    ``lines`` is an open text file, read whole and split at ``"\\n"``, or any
+    iterable of lines.  Nodes are numbered in the order their labels first
+    appear, self-loop and duplicate lines included.
     """
-    report = EdgeListReport()
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
-
-    def node(lab: str) -> int:
-        if lab not in index:
-            index[lab] = len(labels)
-            labels.append(lab)
-        return index[lab]
-
-    for lineno, raw in enumerate(lines, start=1):
-        report.lines += 1
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            report.comments += 1
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two labels, got {len(parts)}")
-        u, v = node(parts[0]), node(parts[1])
-        if u == v:
-            report.dropped_self_loops += 1
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in edges:
-            report.dropped_duplicates += 1
-            continue
-        edges.add(e)
-    report.edges = len(edges)
+    if hasattr(lines, "read"):
+        lines = lines.read().split("\n")
+        if not lines[-1]:
+            lines.pop()  # the text ends with a newline, or is empty
+    else:
+        lines = list(lines)
+    # whole-line string operations only: no list per line is kept, which
+    # would leave the cyclic collector tens of thousands of objects to scan
+    widths = np.fromiter(map(len, map(str.split, lines)), dtype=np.int64, count=len(lines))
+    comment = np.fromiter(map(str.startswith, map(str.lstrip, lines), itertools.repeat("#")), dtype=bool, count=len(lines))
+    bad = np.flatnonzero((widths != 0) & (widths != 2) & ~comment)
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 1}: expected two labels, got {widths[bad[0]]}")
+    tokens = " ".join(itertools.compress(lines, (~comment).tolist())).split()
+    index = dict.fromkeys(tokens)  # first-appearance order
+    labels = list(index)
+    index.update(zip(labels, itertools.count()))
+    ends = np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens)).reshape(-1, 2)
+    loops = ends[:, 0] == ends[:, 1]
+    ends = np.sort(ends[~loops], axis=1)
+    _, first = np.unique(ends[:, 0] * len(labels) + ends[:, 1], return_index=True)
+    report = EdgeListReport(
+        lines=len(lines),
+        comments=int(comment.sum()),
+        edges=len(first),
+        dropped_self_loops=int(loops.sum()),
+        dropped_duplicates=len(ends) - len(first),
+    )
     if report.dropped_self_loops or report.dropped_duplicates:
         logger.warning(
             "edge list: dropped %d self-loops and %d duplicate edges",
             report.dropped_self_loops,
             report.dropped_duplicates,
         )
-    return Graph(labels, edges), report
+    return Graph(labels, ends[first]), report
 
 
 def read_edge_list(path: str) -> Graph:
@@ -211,6 +230,12 @@ class CliqueComplex:
         """Render a simplex with the original node labels, comma-joined."""
         return ",".join([self.graph.labels[v] for v in self.levels[k][sid].tolist()])
 
+    def simplex_labels(self, k: int) -> list[str]:
+        """:meth:`simplex_label` of every simplex at level k, in ID order."""
+        self._check_level(k)
+        names = np.array(self.graph.labels, dtype=object)
+        return list(map(",".join, zip(*(names[column].tolist() for column in self.levels[k].T))))
+
     def _level_keys(self, k: int) -> np.ndarray:
         if k not in self._keys:
             self._keys[k] = _row_keys(self.levels[k])
@@ -282,7 +307,7 @@ def build_clique_complex(graph: Graph, max_level: int) -> CliqueComplex:
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
     n = graph.n
-    edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+    edges = graph.edge_array
     degree = np.bincount(edges.ravel(), minlength=n)
     order = np.argsort(degree, kind="stable")  # by (degree, index)
     rank = np.argsort(order)

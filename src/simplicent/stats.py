@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize, special
 
-from .adjacency import combined_adjacency
+from .adjacency import simplex_degrees
 from .centrality import DEFAULT_DENSE_LIMIT, CentralityVector, compute
 from .complexes import CliqueComplex
 from .essential import project_to_nodes
@@ -59,7 +59,7 @@ class DegreeDistribution:
 def degree_distribution(c: CliqueComplex, k: int) -> DegreeDistribution:
     if c.n_simplices(k) == 0:
         raise ValueError(f"level {k} is empty; no degree distribution")
-    degrees = combined_adjacency(c, k).degrees()
+    degrees = simplex_degrees(c, k)
     values, counts = np.unique(degrees, return_counts=True)
     pdf = counts / degrees.size
     ccdf = pdf[::-1].cumsum()[::-1]

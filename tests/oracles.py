@@ -11,7 +11,46 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplicent import Graph, build_clique_complex
+from simplicent import EdgeListReport, Graph, build_clique_complex
+
+
+def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
+    """The edge-list parser as a loop over lines: strip, skip blanks and
+    ``#`` comments, split into two labels, number labels as they appear,
+    and drop self-loops and repeated edges through a set of pairs."""
+    report = EdgeListReport()
+    labels: list[str] = []
+    index: dict[str, int] = {}
+    edges: set[tuple[int, int]] = set()
+
+    def node(lab: str) -> int:
+        if lab not in index:
+            index[lab] = len(labels)
+            labels.append(lab)
+        return index[lab]
+
+    for lineno, raw in enumerate(lines, start=1):
+        report.lines += 1
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            report.comments += 1
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected two labels, got {len(parts)}")
+        u, v = node(parts[0]), node(parts[1])
+        if u == v:
+            report.dropped_self_loops += 1
+            continue
+        e = (u, v) if u < v else (v, u)
+        if e in edges:
+            report.dropped_duplicates += 1
+            continue
+        edges.add(e)
+    report.edges = len(edges)
+    return Graph(labels, edges), report
 
 
 def er_graph(n: int, p: float, rng: np.random.Generator) -> Graph:

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from conftest import sid
-from oracles import brute_adjacency, er_graph
+from oracles import brute_adjacency, er_blocks_graph, er_graph
 from simplicent import (
     MEASURES,
+    Graph,
     InsufficientDepthError,
     build_clique_complex,
     combined_adjacency,
     compute,
+    degree_centrality,
     degree_distribution,
     example_complex,
     generate_P,
@@ -25,6 +27,7 @@ from simplicent import (
     lower_adjacency,
     shortest_distances,
     simplex_degree,
+    simplex_degrees,
     underlying_network,
     upper_adjacency,
     write_matrix,
@@ -245,3 +248,34 @@ def test_edge_degree_identity_and_handshake(seed):
         t = sum(1 for tri in triangles if p in tri and q in tri)
         assert degrees[eid] == g.degree(p) + g.degree(q) - 2 - 2 * t
     assert degrees.sum() == 2 * interaction_count(comb)
+
+
+SIMPLEX_DEGREE_INPUTS = BRUTE_FORCE_INPUTS + [
+    pytest.param(lambda: build_clique_complex(er_blocks_graph(np.random.default_rng(seed)), 4), id=f"er-blocks-{seed}")
+    for seed in range(3)
+] + [
+    pytest.param(lambda: build_clique_complex(Graph([], []), 2), id="empty"),
+    pytest.param(lambda: build_clique_complex(Graph(list("abc"), []), 3), id="no-edges"),
+]
+
+
+@pytest.mark.parametrize("make_complex", SIMPLEX_DEGREE_INPUTS)
+def test_simplex_degrees_are_combined_row_sums(make_complex):
+    c = make_complex()
+    for k in range(c.max_level):
+        got = simplex_degrees(c, k)
+        assert got.dtype == np.int64 and got.shape == (c.n_simplices(k),)
+        assert np.array_equal(got, combined_adjacency(c, k).degrees())
+    with pytest.raises(InsufficientDepthError) as want:
+        upper_adjacency(c, c.max_level)
+    with pytest.raises(InsufficientDepthError) as err:
+        simplex_degrees(c, c.max_level)
+    assert str(err.value) == str(want.value)
+
+
+def test_degree_measures_form_no_adjacency():
+    c = example_complex(3)
+    for k in range(3):
+        assert np.array_equal(degree_centrality(c, k).scores, simplex_degrees(c, k))
+        assert np.array_equal(degree_distribution(c, k).sample, simplex_degrees(c, k))
+    assert c._combined == {}

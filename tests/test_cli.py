@@ -1,13 +1,25 @@
 """End-to-end runs of the command-line interface."""
 
 import csv
+import io
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from simplicent import MEASURES, example_graph, write_edge_list
+from simplicent import (
+    MEASURES,
+    build_clique_complex,
+    centrality,
+    cli,
+    compute,
+    example_graph,
+    level_summary,
+    read_edge_list,
+    write_edge_list,
+)
 from simplicent.cli import main
 
 
@@ -146,15 +158,19 @@ class TestCentrality:
                 bodies.append([line for line in fh if not line.startswith("#")])
         assert bodies[0] == bodies[1]
 
-    def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys):
+    def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys, monkeypatch):
         star = tmp_path / "s800.txt"
         out = tmp_path / "cent.csv"
         assert main(["generate", "S", "800", "1", "-o", str(star)]) == 0
         capsys.readouterr()
+        calls = []
+        monkeypatch.setattr(centrality, "eigh", lambda *args, **kwargs: calls.append(args))
         assert main(["centrality", str(star), "--level", "1", "--measure", "subgraph", "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "level 1" in err and "lambda_1 = 799" in err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: exp(A) at level 1 overflows float64: lambda_1 = 799 exceeds log(max float) = 709.78"
+        )
         assert not out.exists()
+        assert calls == []  # refused before the dense decomposition
 
 
 class TestDistance:
@@ -294,3 +310,113 @@ def test_matrix_limit_option_removed(fig_file, capsys):
         main(["distance", fig_file, "--matrix-limit", "10"])
     assert err.value.code == 2
     assert "--matrix-limit" in capsys.readouterr().err
+
+
+# Labels with commas, quotes and non-ASCII text: a triangle, a tail and a pendant.
+LABELED_EDGES = 'a,b "q"\n"q" é\né a,b\né 日本\n日本 x"y\nx"y "q"\nplain a,b\n'
+SPECIAL_CELLS = {  # per measure; whole numbers below 1e12 and not -0 are written as integers
+    "degree": [999999999999.0, -3.0, 0.0, 7.0],
+    "harmonic": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1 / 3, 123456789012345.0, 2.5e16, -7.0],
+    "closeness": [1e12, 2.0, 5.0],
+    "eccentricity": [-0.0, 2.0, 3.0],
+}
+
+
+def _oracle_fmt(value):
+    if value is None:
+        return "NA"
+    if isinstance(value, float):
+        if math.isnan(value):
+            return "NA"
+        if math.isinf(value):
+            return "inf"
+        return format(value, ".12g")
+    return str(value)
+
+
+def _row_oracle(argv, columns, rows):
+    """The output text written one row and one value at a time."""
+    cfg = cli._config_from(cli._build_parser().parse_args(argv))
+    if cfg.format == "json":
+        payload = {
+            "metadata": cfg.metadata(),
+            "columns": columns,
+            "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(f"# simplicent {cli.__version__}\n")
+    buf.write(f"# config: {json.dumps(cfg.metadata(), sort_keys=True)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_oracle_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _with_specials(scores, specials):
+    return np.resize(np.array(specials, dtype=np.float64), len(scores))  # the specials, repeated
+
+
+@pytest.fixture()
+def labeled_file(tmp_path):
+    path = tmp_path / "labeled.txt"
+    path.write_text(LABELED_EDGES, encoding="utf-8")
+    return str(path)
+
+
+class TestColumnOutput:
+    """Column-wise CSV and JSON writing matches the row-by-row oracle byte
+    for byte, on awkward labels and on non-finite cells."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_centrality_matches_row_oracle(self, labeled_file, tmp_path, monkeypatch, fmt):
+        vectors = []
+
+        def special_compute(c, k, measure, **kwargs):
+            vec = compute(c, k, measure, **kwargs)
+            vec.scores = _with_specials(vec.scores, SPECIAL_CELLS[measure])
+            vectors.append(vec)
+            return vec
+
+        monkeypatch.setattr(cli, "compute", special_compute)
+        out = tmp_path / f"cent.{fmt}"
+        argv = ["centrality", labeled_file, "--level", "0,1,2", "--measure", "degree,harmonic,closeness",
+                "--format", fmt, "-o", str(out)]
+        assert main(argv) == 0
+        c = build_clique_complex(read_edge_list(labeled_file), 3)
+        measures = ["degree", "harmonic", "closeness"]
+        rows, it = [], iter(vectors)
+        for k in (0, 1, 2):
+            level = [next(it) for _ in measures]
+            for sid in range(c.n_simplices(k)):
+                rows.append([k, sid, c.simplex_label(k, sid)] + [float(vec.scores[sid]) for vec in level])
+        want = _row_oracle(argv, ["level", "id", "vertices"] + measures, rows)
+        assert out.read_bytes() == want.encode("utf-8")
+        if fmt == "csv":  # the oracle saw every awkward label and cell
+            for cell in ('"a,b,""q"",é"', '"日本,x""y"', ",NA,", ",inf,", ",-0,", "1e-300", "1.23456789012e+14",
+                         ",999999999999,", ",1e+12\n", ",-3,"):
+                assert cell in want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_distance_matches_row_oracle(self, labeled_file, tmp_path, monkeypatch, capsys, fmt):
+        summaries = []
+
+        def special_summary(c, k):
+            summary = level_summary(c, k)
+            summary.eccentricities = _with_specials(summary.eccentricities, SPECIAL_CELLS["eccentricity"])
+            summaries.append(summary)
+            return summary
+
+        monkeypatch.setattr(cli, "level_summary", special_summary)
+        argv = ["distance", labeled_file, "--level", "1,0", "--format", fmt]
+        assert main(argv) == 0
+        c = build_clique_complex(read_edge_list(labeled_file), 3)
+        rows = [
+            [s.level, sid, c.simplex_label(s.level, sid), float(s.eccentricities[sid])]
+            for s in summaries
+            for sid in range(s.n)
+        ]
+        want = _row_oracle(argv, ["level", "id", "vertices", "eccentricity"], rows)
+        assert capsys.readouterr().out.endswith(want)
+        assert fmt == "json" or '1,0,"a,b,""q""",-0\n' in want

@@ -1,5 +1,6 @@
 """Graph ingest, clique lifting, and the synthetic families."""
 
+import io
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_cliques, er_blocks_graph, er_graph
+from oracles import brute_cliques, er_blocks_graph, er_graph, line_loop_parse
 from simplicent import complexes
 from simplicent import (
     Graph,
@@ -33,6 +34,25 @@ class TestGraph:
         assert g.index_of("z") == 2
         assert g.degree(1) == 0
 
+    def test_rejects_out_of_range_and_malformed_edges(self):
+        with pytest.raises(ValueError, match=r"edge \(0,3\) out of range for 3 nodes"):
+            Graph(["a", "b", "c"], [(0, 1), (0, 3)])
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(["a", "b"], [(-1, 1)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            Graph(["a", "b", "c"], np.array([[0, 1], [2, 1], [1, 2]]))
+        with pytest.raises(ValueError, match="pairs"):
+            Graph(["a", "b", "c"], [(0, 1, 2)])
+
+    def test_edges_are_sorted_pairs_with_lazy_neighbours(self):
+        g = Graph(list("abcd"), {(3, 1), (2, 0), (0, 1)})
+        assert g.edges == [(0, 1), (0, 2), (1, 3)]
+        assert all(type(u) is int for e in g.edges for u in e)
+        assert not g.edge_array.flags.writeable
+        assert g._adj is None  # no neighbour sets until asked for
+        assert g.neighbors(0) == {1, 2} and g.degree(3) == 1
+        assert [(u, v) for u, v in g.edges] == g.edges
+
 
 class TestEdgeListParsing:
     def test_comments_blanks_and_drops(self):
@@ -54,6 +74,82 @@ class TestEdgeListParsing:
     def test_malformed_line_reports_number(self):
         with pytest.raises(ValueError, match="line 2"):
             parse_edge_list(["A B", "A B C"])
+
+    def test_error_names_first_malformed_line_and_its_width(self):
+        text = "# header\n\nA B\n  # indented comment\nB C D\nE\n"
+        for source in (io.StringIO(text), text.splitlines()):
+            with pytest.raises(ValueError, match=r"^line 5: expected two labels, got 3$"):
+                parse_edge_list(source)
+        with pytest.raises(ValueError, match=r"^line 2: expected two labels, got 1$"):
+            parse_edge_list(["A B", "  lonely  "])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "A B\r\nB C\r\n# note\r\nC A\r\n",  # CRLF
+            "A B\nB C",  # no final newline
+            "A\tB\n\tB \t C\t\n",  # tabs
+            "A B\n   \n\t\nB C\n\n",  # whitespace-only lines
+            "  # indented\n\t#tab\nA B\n#x y\n",  # indented and two-token comments
+            "A B\nB A\nA B\n",  # duplicates, one written in reverse
+            "A A\nA B\nC C\n",  # self-loops, one on a label seen nowhere else
+            "",
+            "\n",
+            "é 日本\n\"q\" a,b\n",
+        ],
+        ids=["crlf", "no-final-newline", "tabs", "blank", "comments", "duplicates", "self-loops", "empty",
+             "newline-only", "unicode"],
+    )
+    def test_file_and_lines_agree_with_line_loop(self, text, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            from_file = parse_edge_list(fh)
+        with open(path, encoding="utf-8") as fh:
+            want = line_loop_parse(fh)
+        for got in (from_file, parse_edge_list(text.splitlines()), parse_edge_list(io.StringIO(text))):
+            _assert_same_parse(got, want)
+
+    def test_counts_and_first_appearance_order(self):
+        g, report = parse_edge_list(io.StringIO("# h\nz y\nq q\ny z\n\nx z\nz y\n"))
+        assert g.labels == ["z", "y", "q", "x"]
+        assert g.edges == [(0, 1), (0, 3)]
+        assert g.edge_array.dtype == np.int64 and g.edge_array.shape == (2, 2)
+        assert (report.lines, report.comments, report.edges) == (7, 1, 2)
+        assert (report.dropped_self_loops, report.dropped_duplicates) == (1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["", " ", "\t", "\r", " \x0b"]),
+                st.lists(st.sampled_from(["a", "b", "c", "d", "#", "#x", "é", "a,b", '"q"']), max_size=3),
+                st.sampled_from([" ", "\t", " \x0c ", "\u00a0"]),
+                st.sampled_from(["", " ", "\r"]),
+            ).map(lambda t: t[0] + t[2].join(t[1]) + t[3]),
+            max_size=12,
+        ),
+        final_newline=st.booleans(),
+    )
+    def test_matches_line_loop_parser(self, lines, final_newline):
+        text = "\n".join(lines) + ("\n" if final_newline and lines else "")
+        for make_source in (lambda: io.StringIO(text), lambda: list(lines)):
+            try:
+                want = line_loop_parse(make_source())
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    parse_edge_list(make_source())
+                assert str(err.value) == str(exc)
+            else:
+                _assert_same_parse(parse_edge_list(make_source()), want)
+
+
+def _assert_same_parse(got, want):
+    (g, report), (g_want, report_want) = got, want
+    assert report == report_want
+    assert g.labels == g_want.labels
+    assert g.edges == g_want.edges
+    assert g.edge_array.dtype == np.int64 and np.array_equal(g.edge_array, g_want.edge_array)
 
 
 class TestBuild:
