@@ -16,9 +16,19 @@ eigenspace, which are found iteratively, one connected component at a time,
 at every level size.  The exponential measures read ``exp(A)`` from one
 symmetric eigendecomposition of the level, allowed up to ``dense_limit``
 simplices, computed on first use and kept on the complex in a single slot
-that a request for another level replaces.  Above the limit the exponential
-diagonal falls back to a per-simplex truncated series whose order is chosen
-from the remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
+that a request for another level replaces.  With t the number of cofaces of
+each k-simplex, the combined adjacency is
+
+    A_k = B_k^T B_k - B_{k+1} B_{k+1}^T + diag(t) - (k+1) I,
+
+so every vector that lives on the coface-free k-simplices and that B_k maps
+to zero is an eigenvector of A_k for -(k+1): at k = 1 the line-graph
+eigenvalue -2 (Cvetkovic, Rowlinson and Simic, *Spectral Generalizations of
+Line Graphs*, 2004).  The decomposition splits that eigenspace off exactly
+and runs the dense eigensolver on the rest of the level only.  Above the
+limit the exponential diagonal falls back to a truncated series, run for a
+block of simplices at a time as sparse-times-dense products, whose order is
+chosen from the remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
 ``e**lambda_1`` overflows float64 the exponential measures refuse the level
 instead of returning ``inf``.
 """
@@ -31,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
+from scipy.linalg import eigh, qr
+from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 
 from .adjacency import LevelAdjacency, combined_adjacency, simplex_degrees
@@ -43,6 +54,7 @@ DEFAULT_DENSE_LIMIT = 5_000
 KATZ_RTOL = 1e-13  # conjugate gradients stop once ||r||_2 <= KATZ_RTOL * ||1||_2
 KATZ_RESIDUAL = 1e-10  # largest true residual accepted, relative to max(1, max|x|)
 EXP_MAX = math.log(sys.float_info.max)  # about 709.78: exp overflows float64 above it
+SERIES_BLOCK = 64  # simplices whose series run together, as the columns of one dense block
 
 MEASURES = (
     "degree",
@@ -152,9 +164,26 @@ def spectral_decomposition(
 ) -> SpectralDecomposition:
     """Full symmetric eigendecomposition of the combined level-k adjacency.
 
+    Let P be the k-simplices without a coface (k >= 1) and m the number of
+    (k-1)-faces they touch.  A vector x on P has B_{k+1}^T x = 0 and t x = 0,
+    so A x = B_k^T B_k x - (k+1) x, and x is an eigenvector for -(k+1)
+    whenever B_k x = 0.  When |P| > m, a full QR factorization
+    B_k[faces, P]^T = Q R gives |P| - m such eigenvectors, the trailing
+    columns of Q, and reduces the rest of the level to the symmetric matrix
+
+        H = [[R1 R1^T - (k+1) I,  R1 B_k[faces, rest]],
+             [its transpose,      A[rest, rest]     ]],   R1 = R[:m],
+
+    of size n - (|P| - m), which is the one matrix handed to ``eigh``.  Its
+    eigenvectors Y map back as [Q[:, :m] Y[:m]; Y[m:]].  At k = 0, or when
+    |P| <= m, nothing is split off and H is A.  Products of dense blocks go
+    through scipy's BLAS, not numpy's ``@``, whose separate thread pool
+    slowed small levels down at two threads.
+
     The result is kept on the complex in one slot, which a request for
     another level replaces: callers loop over levels outermost, so each level
     is decomposed once and only one n x n eigenvector matrix is held.
+    ``dense_limit`` bounds the level size n.
     """
     n = c.n_simplices(k)
     if n > dense_limit:
@@ -164,12 +193,51 @@ def spectral_decomposition(
         )
     spec = c._spectrum
     if spec is None or spec.level != k:
-        dense = combined_adjacency(c, k).mat.astype(np.float64).toarray()
-        w, v = eigh(dense, driver="evd", overwrite_a=True, check_finite=False)
-        w, v = w[::-1].copy(), v[:, ::-1].copy()
-        w.flags.writeable = v.flags.writeable = False
-        spec = c._spectrum = SpectralDecomposition(k, w, v)
+        spec = c._spectrum = _decompose(c, k)
     return spec
+
+
+def _decompose(c: CliqueComplex, k: int) -> SpectralDecomposition:
+    mat = combined_adjacency(c, k).mat
+    n = mat.shape[0]
+    faces_of = sparse.csr_matrix((n, 0), dtype=np.int8)  # row s: the (k-1)-faces of k-simplex s
+    free = np.zeros(n, dtype=bool)
+    if k >= 1:
+        faces_of = c.boundary(k).T.tocsr()
+        free = np.diff(c.boundary(k + 1).indptr) == 0
+    p, rest = np.flatnonzero(free), np.flatnonzero(~free)
+    faces = np.unique(faces_of[p].indices)
+    if p.size <= faces.size:  # no kernel to split off: H is A itself
+        p, rest, faces = p[:0], np.arange(n), faces[:0]
+    m, d = faces.size, p.size - faces.size
+    # B_k[faces, P]^T = Q R, so B_k vanishes on the columns Q[:, m:] (placed on P).
+    q, r = qr(faces_of[p][:, faces].toarray().astype(np.float64), mode="full",
+              overwrite_a=True, check_finite=False)
+    r1 = r[:m]
+    # H = W^T A W for W = [Q[:, :m] on P; identity on rest].  It is filled in
+    # Fortran order, so that eigh overwrites it without a copy, and eigh reads
+    # only its lower triangle.
+    h = np.zeros((m + rest.size, m + rest.size), order="F")
+    at = np.full(n, -1)  # row of H that holds each simplex of rest
+    at[rest] = np.arange(m, m + rest.size)
+    coo = mat.tocoo()
+    keep = (at[coo.row] >= 0) & (at[coo.col] >= 0)
+    h[at[coo.row[keep]], at[coo.col[keep]]] = coo.data[keep]
+    h[:m, :m] = dgemm(1.0, r1, r1, trans_b=True)
+    h[np.arange(m), np.arange(m)] -= k + 1
+    h[m:, :m] = faces_of[rest][:, faces] @ r1.T
+    w, y = eigh(h, driver="evd", overwrite_a=True, check_finite=False)
+    # Descending order: H's eigenvalues above -(k+1), the d deflated ones, the rest of H's.
+    w, y = w[::-1], y[:, ::-1]
+    above = int(np.count_nonzero(w > -(k + 1)))
+    values = np.full(n, -(k + 1.0))
+    values[:above], values[above + d:] = w[:above], w[above:]
+    vectors = np.zeros((n, n))
+    for rows, block in ((rest, y[m:]), (p, dgemm(1.0, q[:, :m], y[:m]))):
+        vectors[rows, :above], vectors[rows, above + d:] = block[:, :above], block[:, above:]
+    vectors[p, above:above + d] = q[:, m:]
+    values.flags.writeable = vectors.flags.writeable = False
+    return SpectralDecomposition(k, values, vectors)
 
 
 def _exp_spectrum(spec: SpectralDecomposition) -> np.ndarray:
@@ -294,8 +362,9 @@ def subgraph_centrality(
     """Diagonal of ``exp(A)`` at level k: the closed-walk weight of each
     simplex, with short walks weighted most.  Isolated simplices score 1.
 
-    ``method`` is ``"dense"`` (spectral), ``"series"`` (per-simplex truncated
-    power series, for levels too large to decompose), or ``"auto"`` which
+    ``method`` is ``"dense"`` (spectral), ``"series"`` (truncated power
+    series of each simplex's unit vector, run ``SERIES_BLOCK`` simplices at
+    a time, for levels too large to decompose), or ``"auto"`` which
     picks dense below ``dense_limit`` and otherwise refuses with a hint.
     The dense method raises ValueError where ``e**lambda_1`` overflows
     float64 (lambda_1 above about 709.78).
@@ -319,17 +388,17 @@ def subgraph_centrality(
     lam = _principal_by_component(adj)[0]
     order = _series_order(lam, series_tol)
     mat = adj.mat.astype(np.float64)
-
-    def diag_entry(i: int) -> float:
-        term = np.zeros(n)
-        term[i] = 1.0
-        total = 1.0
+    scores = np.empty(n)
+    for start in range(0, n, SERIES_BLOCK):
+        block = np.arange(start, min(start + SERIES_BLOCK, n))
+        cols = np.arange(block.size)
+        term = np.zeros((n, block.size))  # column j: A^step e_i / step! for simplex i = block[j]
+        term[block, cols] = 1.0
+        total = np.ones(block.size)
         for step in range(1, order + 1):
-            term = mat.dot(term) / step
-            total += term[i]
-        return total
-
-    scores = np.array([diag_entry(i) for i in range(n)])
+            term = mat @ term / step
+            total += term[block, cols]
+        scores[block] = total
     return CentralityVector(
         k, "subgraph", scores, params={"method": "series", "order": order}
     )

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from conftest import sid
 from oracles import (
+    ba_graph,
     brute_betweenness,
     brute_closeness,
     brute_harmonic,
@@ -19,6 +20,7 @@ from oracles import (
 )
 from simplicent import NonConvergenceError, centrality, paths
 from simplicent import (
+    Graph,
     betweenness,
     build_clique_complex,
     closeness,
@@ -256,6 +258,21 @@ class TestSubgraphCentrality:
         series = subgraph_centrality(fig, 1, method="series", series_tol=1e-10).scores
         assert np.allclose(dense, series, atol=1e-8)
 
+    @pytest.mark.parametrize("make_complex", [lambda: example_complex(3), lambda: _er_blocks_complex(1)],
+                             ids=["fig", "er-blocks-1"])
+    def test_series_does_not_depend_on_block_size(self, make_complex, monkeypatch):
+        c = make_complex()
+        for k in range(c.max_level):
+            runs = []
+            for size in (1, 2, centrality.SERIES_BLOCK):
+                monkeypatch.setattr(centrality, "SERIES_BLOCK", size)
+                runs.append(subgraph_centrality(c, k, method="series", series_tol=1e-10))
+            dense = subgraph_centrality(c, k, method="dense").scores
+            assert np.allclose(dense, runs[0].scores, atol=1e-8)
+            for got in runs[1:]:
+                assert got.params == runs[0].params
+                assert got.scores.tobytes() == runs[0].scores.tobytes()
+
     def test_auto_refuses_above_limit_with_hint(self, fig):
         with pytest.raises(ValueError, match="series"):
             subgraph_centrality(fig, 1, dense_limit=4)
@@ -415,6 +432,75 @@ def test_spectral_scores_do_not_depend_on_measure_order(seed):
                 assert scores.tobytes() == reference[key].tobytes(), key
 
 
+def _complete_multipartite(*parts):
+    bounds = np.cumsum((0,) + parts).tolist()
+    groups = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [(u, v) for a, b in itertools.combinations(groups, 2) for u in a for v in b]
+
+
+def _complex_of(edges, n, max_level):
+    return build_clique_complex(Graph([str(i) for i in range(n)], sorted(edges)), max_level)
+
+
+def _k45():
+    return _complex_of(_complete_multipartite(4, 5), 9, 2)
+
+
+def _k444():
+    return _complex_of(_complete_multipartite(4, 4, 4), 12, 3)
+
+
+def _k45_and_k5():
+    return _complex_of(_complete_multipartite(4, 5) + list(itertools.combinations(range(9, 14), 2)), 14, 3)
+
+
+# (complex, level, the number of coface-free k-simplices minus the faces they touch)
+DEFLATION_CASES = [
+    pytest.param(_k45, 1, 11, id="K45-level1"),
+    pytest.param(_k444, 2, 16, id="K444-level2"),
+    pytest.param(lambda: build_clique_complex(ba_graph(100, 3, np.random.default_rng(1400)), 3), 1, 51,
+                 id="BA-100-3-level1"),
+    pytest.param(_k45_and_k5, 1, 11, id="K45+K5-level1"),
+    pytest.param(lambda: _complex_of([(0, 1), (2, 3), (4, 5)], 6, 2), 1, 0, id="matching-level1"),
+    pytest.param(lambda: _complex_of([], 4, 2), 1, 0, id="edgeless-level1"),
+    pytest.param(_k45, 0, 0, id="K45-level0"),
+    pytest.param(_k444, 1, 0, id="K444-level1"),
+] + [pytest.param(lambda: example_complex(3), k, 0, id=f"fig-level{k}") for k in range(3)]
+
+
+@pytest.mark.parametrize("make_complex, k, deflated", DEFLATION_CASES)
+def test_deflated_decomposition_matches_dense_oracle(make_complex, k, deflated):
+    """The decomposition that splits off the coface-free kernel of B_k against
+    a test-side dense eigendecomposition and scipy's expm."""
+    c = make_complex()
+    if k >= 1:
+        free = np.flatnonzero(np.diff(c.boundary(k + 1).indptr) == 0)
+        faces = np.unique(c.boundary(k).tocsc()[:, free].indices)
+        assert max(free.size - faces.size, 0) == deflated
+    a = combined_adjacency(c, k).mat.toarray().astype(np.float64)
+    n = a.shape[0]
+    spec = spectral_decomposition(c, k)
+    w, v = spec.eigenvalues, spec.eigenvectors
+    want = np.linalg.eigh(a)[0][::-1]
+    assert w.shape == (n,) and v.shape == (n, n)
+    assert (np.abs(w - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
+    assert (np.diff(w) <= 0).all()
+    assert np.count_nonzero(w == -(k + 1)) >= deflated
+    assert not w.flags.writeable and not v.flags.writeable
+
+    def norm2(x):
+        return np.linalg.norm(x, 2) if x.size else 0.0
+
+    bound = 1e-12 * max(1.0, norm2(a))
+    assert norm2(a @ v - v * w) <= bound
+    assert norm2(v.T @ v - np.eye(n)) <= bound
+    exp_a = expm(a)
+    assert np.allclose(subgraph_centrality(c, k).scores, np.diag(exp_a), rtol=1e-10, atol=1e-10)
+    for i in range(n):
+        j = (7 * i + 3) % n
+        assert communicability(c, k, i, j) == pytest.approx(exp_a[i, j], rel=1e-10, abs=1e-10)
+
+
 class TestSpectralCache:
     @staticmethod
     def _count_eigensolves(monkeypatch):
@@ -445,6 +531,20 @@ class TestSpectralCache:
             for p in range(20):
                 communicability(c, k, p % n, (7 * p + 1) % n)
             assert calls == [("eigh", c.n_simplices(j)) for j in range(k + 1)]
+
+    @pytest.mark.parametrize("make_complex, sizes", [(_k45, [9, 9]), (_k444, [12, 48, 48])], ids=["K45", "K444"])
+    def test_one_reduced_decomposition_per_level(self, make_complex, sizes, monkeypatch):
+        """Each level makes one eigh, of size n minus the coface-free kernel:
+        K_{4,5} level 1 (20 edges, no triangle) decomposes at size 9, and
+        K_{4,4,4} level 2 (64 triangles, no tetrahedron) at size 48."""
+        c = make_complex()
+        calls = self._count_eigensolves(monkeypatch)
+        for k in range(len(sizes)):
+            subgraph_centrality(c, k)
+            n = c.n_simplices(k)
+            for p in range(20):
+                communicability(c, k, p % n, (7 * p + 1) % n)
+        assert calls == [("eigh", size) for size in sizes]
 
     def test_katz_and_eigenvector_make_no_dense_decomposition(self, monkeypatch):
         c = example_complex(3)

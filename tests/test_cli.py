@@ -178,6 +178,19 @@ class TestDistance:
         assert "avg path length per component [2]" in out
         assert "diameter 4" in out
 
+    def test_every_exit_0_eccentricity_is_finite(self, small_file, tmp_path):
+        ran = 0
+        for k in range(3):
+            out = tmp_path / f"dist{k}.csv"
+            if main(["distance", small_file, "--level", str(k), "-o", str(out)]) != 0:
+                continue
+            ran += 1
+            header, rows = read_csv(str(out))
+            assert header[3] == "eccentricity"
+            bad = [row for row in rows if row[3] == "NA" or not math.isfinite(float(row[3]))]
+            assert not bad, (k, bad)
+        assert ran
+
 
 class TestFitDegree:
     def test_table_emitted(self, tmp_path, capsys):
@@ -257,6 +270,23 @@ class TestEssential:
         measures = {r[0] for r in rows}
         assert measures == {"degree", "random"}
         assert len(rows) == 2 * 2 + 2  # two levels x two grid points + baseline
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_every_exit_0_count_and_percentage_is_finite(self, small_file, tmp_path, measure):
+        ann = tmp_path / "ann.txt"
+        ann.write_text("".join(f"{label} {i % 2}\n" for i, label in enumerate(read_edge_list(small_file).labels)))
+        ran = 0
+        for k in range(3):
+            out = tmp_path / f"ess{k}.csv"
+            if main(["essential", small_file, "--annotations", str(ann), "--level", str(k),
+                     "--measure", measure, "--repetitions", "10", "-o", str(out)]) != 0:
+                continue
+            ran += 1
+            header, rows = read_csv(str(out))
+            assert header[3:] == ["count", "percentage"]
+            bad = [row for row in rows if any(cell == "NA" or not math.isfinite(float(cell)) for cell in row[3:])]
+            assert not bad, (k, bad)
+        assert ran
 
     def test_missing_annotations_flag_errors(self, fig_file, capsys):
         with pytest.raises(SystemExit) as err:
