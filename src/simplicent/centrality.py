@@ -13,11 +13,14 @@ communicability) works on the same matrix:
 
 Katz and eigenvector centrality need only lambda_1 and its (Perron)
 eigenspace, which are found iteratively, one connected component at a time,
-at every level size.  The exponential measures read ``exp(A)`` from one
-symmetric eigendecomposition of the level, allowed up to ``dense_limit``
-simplices, computed on first use and kept on the complex in a single slot
-that a request for another level replaces.  With t the number of cofaces of
-each k-simplex, the combined adjacency is
+at every level size.  The exponential measures read ``exp(A)`` from one exact
+symmetric eigendecomposition of the level, computed on first use and kept on
+the complex in a single slot that a request for another level replaces.  An
+isolated simplex, one with an empty row of A, is an eigenvector for 0 on its
+own, so exp(A) is 1 on its diagonal and 0 elsewhere in its row; the
+decomposition covers only the other simplices, at most ``dense_limit`` of
+them.  With t the number of cofaces of each k-simplex, the combined
+adjacency is
 
     A_k = B_k^T B_k - B_{k+1} B_{k+1}^T + diag(t) - (k+1) I,
 
@@ -25,12 +28,9 @@ so every vector that lives on the coface-free k-simplices and that B_k maps
 to zero is an eigenvector of A_k for -(k+1): at k = 1 the line-graph
 eigenvalue -2 (Cvetkovic, Rowlinson and Simic, *Spectral Generalizations of
 Line Graphs*, 2004).  The decomposition splits that eigenspace off exactly
-and runs the dense eigensolver on the rest of the level only.  Above the
-limit the exponential diagonal falls back to a truncated series, run for a
-block of simplices at a time as sparse-times-dense products, whose order is
-chosen from the remainder bound ``e**lam * lam**(L+1) / (L+1)! < tol``.  Where
-``e**lambda_1`` overflows float64 the exponential measures refuse the level
-instead of returning ``inf``.
+and runs the dense eigensolver on the rest of the covered simplices only.
+Where ``e**lambda_1`` overflows float64 the exponential measures refuse the
+level instead of returning ``inf``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ DEFAULT_DENSE_LIMIT = 5_000
 KATZ_RTOL = 1e-13  # conjugate gradients stop once ||r||_2 <= KATZ_RTOL * ||1||_2
 KATZ_RESIDUAL = 1e-10  # largest true residual accepted, relative to max(1, max|x|)
 EXP_MAX = math.log(sys.float_info.max)  # about 709.78: exp overflows float64 above it
-SERIES_BLOCK = 64  # simplices whose series run together, as the columns of one dense block
 
 MEASURES = (
     "degree",
@@ -86,10 +85,14 @@ class CentralityVector:
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Eigenvalues (descending) and matching orthonormal eigenvectors of the
-    combined level-k adjacency; column j of ``eigenvectors`` pairs with
-    ``eigenvalues[j]``.  Both arrays are read-only."""
+    combined level-k adjacency restricted to ``simplices``, the ascending IDs
+    of the k-simplices that have a neighbour.  Row r of ``eigenvectors``
+    belongs to simplex ``simplices[r]``, and column j pairs with
+    ``eigenvalues[j]``.  Each simplex left out has an empty row of A, so it
+    adds the eigenpair (0, e_i).  All three arrays are read-only."""
 
     level: int
+    simplices: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
@@ -159,61 +162,65 @@ def walk_count(c: CliqueComplex, k: int, m: int) -> np.ndarray:
     return np.asarray(power)
 
 
+def covered_simplices(c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
+    """Ascending IDs of the k-simplices that have a neighbour at level k, the
+    ones the eigendecomposition covers.  Raises ValueError, naming the
+    ``--dense-limit`` option, when there are more than ``dense_limit``."""
+    covered = np.flatnonzero(np.diff(combined_adjacency(c, k).mat.indptr))
+    if covered.size > dense_limit:
+        raise ValueError(
+            f"level {k} has {covered.size} simplices with a neighbour, above the dense "
+            f"spectral limit {dense_limit}; raise it with --dense-limit"
+        )
+    return covered
+
+
 def spectral_decomposition(
     c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition of the combined level-k adjacency.
+    """Symmetric eigendecomposition of the combined level-k adjacency on the
+    simplices given by :func:`covered_simplices`.
 
-    Let P be the k-simplices without a coface (k >= 1) and m the number of
-    (k-1)-faces they touch.  A vector x on P has B_{k+1}^T x = 0 and t x = 0,
-    so A x = B_k^T B_k x - (k+1) x, and x is an eigenvector for -(k+1)
-    whenever B_k x = 0.  When |P| > m, a full QR factorization
+    Let P be the covered k-simplices without a coface (k >= 1) and m the
+    number of (k-1)-faces they touch.  A vector x on P has B_{k+1}^T x = 0
+    and t x = 0, so A x = B_k^T B_k x - (k+1) x, and x is an eigenvector for
+    -(k+1) whenever B_k x = 0.  When |P| > m, a full QR factorization
     B_k[faces, P]^T = Q R gives |P| - m such eigenvectors, the trailing
-    columns of Q, and reduces the rest of the level to the symmetric matrix
+    columns of Q, and reduces the rest of the covered simplices to the
+    symmetric matrix
 
         H = [[R1 R1^T - (k+1) I,  R1 B_k[faces, rest]],
              [its transpose,      A[rest, rest]     ]],   R1 = R[:m],
 
-    of size n - (|P| - m), which is the one matrix handed to ``eigh``.  Its
-    eigenvectors Y map back as [Q[:, :m] Y[:m]; Y[m:]].  At k = 0, or when
-    |P| <= m, nothing is split off and H is A.  Products of dense blocks go
+    which is the one matrix handed to ``eigh``.  Its eigenvectors Y map back
+    as [Q[:, :m] Y[:m]; Y[m:]].  At k = 0, or when |P| <= m, nothing is split
+    off and H is A on the covered simplices.  Products of dense blocks go
     through scipy's BLAS, not numpy's ``@``, whose separate thread pool
     slowed small levels down at two threads.
 
     The result is kept on the complex in one slot, which a request for
     another level replaces: callers loop over levels outermost, so each level
-    is decomposed once and only one n x n eigenvector matrix is held.
-    ``dense_limit`` bounds the level size n.
+    is decomposed once and only one eigenvector matrix is held.
     """
-    n = c.n_simplices(k)
-    if n > dense_limit:
-        raise ValueError(
-            f"level {k} has {n} simplices, above the dense spectral limit "
-            f"{dense_limit}; use the series-based routines instead"
-        )
+    covered = covered_simplices(c, k, dense_limit)
     spec = c._spectrum
     if spec is None or spec.level != k:
-        spec = c._spectrum = _decompose(c, k)
+        spec = c._spectrum = _decompose(c, k, covered)
     return spec
 
 
-def _decompose(c: CliqueComplex, k: int) -> SpectralDecomposition:
+def _decompose(c: CliqueComplex, k: int, covered: np.ndarray) -> SpectralDecomposition:
     mat = combined_adjacency(c, k).mat
     n = mat.shape[0]
-    faces_of = sparse.csr_matrix((n, 0), dtype=np.int8)  # row s: the (k-1)-faces of k-simplex s
-    free = np.zeros(n, dtype=bool)
+    p, m = covered[:0], 0  # coface-free simplices and the count of faces they touch, when B_k has a kernel there
     if k >= 1:
-        faces_of = c.boundary(k).T.tocsr()
-        free = np.diff(c.boundary(k + 1).indptr) == 0
-    p, rest = np.flatnonzero(free), np.flatnonzero(~free)
-    faces = np.unique(faces_of[p].indices)
-    if p.size <= faces.size:  # no kernel to split off: H is A itself
-        p, rest, faces = p[:0], np.arange(n), faces[:0]
-    m, d = faces.size, p.size - faces.size
-    # B_k[faces, P]^T = Q R, so B_k vanishes on the columns Q[:, m:] (placed on P).
-    q, r = qr(faces_of[p][:, faces].toarray().astype(np.float64), mode="full",
-              overwrite_a=True, check_finite=False)
-    r1 = r[:m]
+        faces_of = c.boundary(k).T.tocsr()  # row s: the k+1 (k-1)-faces of k-simplex s
+        face_ids = faces_of.indices.reshape(n, k + 1)
+        free = covered[np.diff(c.boundary(k + 1).indptr)[covered] == 0]
+        faces = np.unique(face_ids[free])
+        if free.size > faces.size:
+            p, m = free, faces.size
+    rest = np.setdiff1d(covered, p, assume_unique=True)
     # H = W^T A W for W = [Q[:, :m] on P; identity on rest].  It is filled in
     # Fortran order, so that eigh overwrites it without a copy, and eigh reads
     # only its lower triangle.
@@ -223,21 +230,35 @@ def _decompose(c: CliqueComplex, k: int) -> SpectralDecomposition:
     coo = mat.tocoo()
     keep = (at[coo.row] >= 0) & (at[coo.col] >= 0)
     h[at[coo.row[keep]], at[coo.col[keep]]] = coo.data[keep]
-    h[:m, :m] = dgemm(1.0, r1, r1, trans_b=True)
-    h[np.arange(m), np.arange(m)] -= k + 1
-    h[m:, :m] = faces_of[rest][:, faces] @ r1.T
+    if p.size:
+        # B_k[faces, P]^T = Q R, so B_k vanishes on the columns Q[:, m:] (placed on P).
+        x = np.zeros((p.size, m), order="F")
+        x[np.arange(p.size)[:, None], np.searchsorted(faces, face_ids[p])] = 1.0
+        q, r = qr(x, mode="full", overwrite_a=True, check_finite=False)
+        r1 = r[:m]
+        h[:m, :m] = dgemm(1.0, r1, r1, trans_b=True)
+        h[np.arange(m), np.arange(m)] -= k + 1
+        h[m:, :m] = faces_of[rest][:, faces] @ r1.T
     w, y = eigh(h, driver="evd", overwrite_a=True, check_finite=False)
-    # Descending order: H's eigenvalues above -(k+1), the d deflated ones, the rest of H's.
     w, y = w[::-1], y[:, ::-1]
-    above = int(np.count_nonzero(w > -(k + 1)))
-    values = np.full(n, -(k + 1.0))
-    values[:above], values[above + d:] = w[:above], w[above:]
-    vectors = np.zeros((n, n))
-    for rows, block in ((rest, y[m:]), (p, dgemm(1.0, q[:, :m], y[:m]))):
-        vectors[rows, :above], vectors[rows, above + d:] = block[:, :above], block[:, above:]
-    vectors[p, above:above + d] = q[:, m:]
-    values.flags.writeable = vectors.flags.writeable = False
-    return SpectralDecomposition(k, values, vectors)
+    if not p.size:
+        # C-ordered copies, as the split case writes: with the reversed view of
+        # eigh's Fortran output kept instead, peak memory of the spectral-er
+        # benchmark rose by one 2000 x 2000 array in about half of its runs
+        values, vectors = w.copy(), y.copy()
+    else:
+        # Descending order: H's eigenvalues above -(k+1), the d split-off ones, the rest of H's.
+        d = p.size - m
+        above = int(np.count_nonzero(w > -(k + 1)))
+        values = np.full(covered.size, -(k + 1.0))
+        values[:above], values[above + d:] = w[:above], w[above:]
+        vectors = np.zeros((covered.size, covered.size))
+        top, low = np.searchsorted(covered, p), np.searchsorted(covered, rest)
+        for rows, block in ((low, y[m:]), (top, dgemm(1.0, q[:, :m], y[:m]))):
+            vectors[rows, :above], vectors[rows, above + d:] = block[:, :above], block[:, above:]
+        vectors[top, above:above + d] = q[:, m:]
+    covered.flags.writeable = values.flags.writeable = vectors.flags.writeable = False
+    return SpectralDecomposition(k, covered, values, vectors)
 
 
 def _exp_spectrum(spec: SpectralDecomposition) -> np.ndarray:
@@ -340,78 +361,34 @@ def eigenvector_centrality(c: CliqueComplex, k: int) -> CentralityVector:
     return CentralityVector(k, "eigenvector", vec, params={"lambda1": lam})
 
 
-def _series_order(lam: float, tol: float) -> int:
-    """Smallest L with e**lam * lam**(L+1) / (L+1)! below tol."""
-    if lam <= 0:
-        return 1
-    log_tol = math.log(tol)
-    for order in range(1, 1000):
-        log_rem = lam + (order + 1) * math.log(lam) - math.lgamma(order + 2)
-        if log_rem < log_tol:
-            return order
-    raise NonConvergenceError("exponential series order exceeds 1000 terms")
-
-
-def subgraph_centrality(
-    c: CliqueComplex,
-    k: int,
-    method: str = "auto",
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    series_tol: float = 1e-8,
-) -> CentralityVector:
+def subgraph_centrality(c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CentralityVector:
     """Diagonal of ``exp(A)`` at level k: the closed-walk weight of each
-    simplex, with short walks weighted most.  Isolated simplices score 1.
-
-    ``method`` is ``"dense"`` (spectral), ``"series"`` (truncated power
-    series of each simplex's unit vector, run ``SERIES_BLOCK`` simplices at
-    a time, for levels too large to decompose), or ``"auto"`` which
-    picks dense below ``dense_limit`` and otherwise refuses with a hint.
-    The dense method raises ValueError where ``e**lambda_1`` overflows
-    float64 (lambda_1 above about 709.78).
+    simplex, with short walks weighted most.  Isolated simplices score
+    exactly 1; the others are read from :func:`spectral_decomposition`, which
+    covers at most ``dense_limit`` simplices.  Raises ValueError where
+    ``e**lambda_1`` overflows float64 (lambda_1 above about 709.78).
     """
-    adj = combined_adjacency(c, k)
-    n = adj.n
-    if method == "auto":
-        if n <= dense_limit:
-            method = "dense"
-        else:
-            raise ValueError(
-                f"level {k} has {n} simplices, above the dense spectral limit "
-                f"{dense_limit}; raise dense_limit (--dense-limit) or pass method='series'"
-            )
-    if method == "dense":
-        spec = spectral_decomposition(c, k, dense_limit=max(dense_limit, n))
-        scores = (spec.eigenvectors**2) @ _exp_spectrum(spec)
-        return CentralityVector(k, "subgraph", scores, params={"method": "dense"})
-    if method != "series":
-        raise ValueError(f"unknown method {method!r}")
-    lam = _principal_by_component(adj)[0]
-    order = _series_order(lam, series_tol)
-    mat = adj.mat.astype(np.float64)
-    scores = np.empty(n)
-    for start in range(0, n, SERIES_BLOCK):
-        block = np.arange(start, min(start + SERIES_BLOCK, n))
-        cols = np.arange(block.size)
-        term = np.zeros((n, block.size))  # column j: A^step e_i / step! for simplex i = block[j]
-        term[block, cols] = 1.0
-        total = np.ones(block.size)
-        for step in range(1, order + 1):
-            term = mat @ term / step
-            total += term[block, cols]
-        scores[block] = total
-    return CentralityVector(
-        k, "subgraph", scores, params={"method": "series", "order": order}
-    )
+    spec = spectral_decomposition(c, k, dense_limit)
+    scores = np.ones(c.n_simplices(k))
+    scores[spec.simplices] = (spec.eigenvectors**2) @ _exp_spectrum(spec)
+    return CentralityVector(k, "subgraph", scores)
 
 
 def communicability(
     c: CliqueComplex, k: int, i: int, j: int, dense_limit: int = DEFAULT_DENSE_LIMIT
 ) -> float:
-    """Off-diagonal entry ``exp(A)_ij``: the weighted count of walks joining
-    simplices i and j.  Refuses a level whose ``e**lambda_1`` overflows, as
-    :func:`subgraph_centrality` does."""
+    """Entry ``exp(A)_ij``: the weighted count of walks joining simplices i
+    and j, exactly 1 (i = j) or 0 when either is isolated.  Refuses a level
+    whose ``e**lambda_1`` overflows, as :func:`subgraph_centrality` does."""
+    n = c.n_simplices(k)
+    if not (0 <= i < n and 0 <= j < n):
+        raise IndexError(f"simplex IDs {i} and {j} must lie in 0..{n - 1} at level {k}")
     spec = spectral_decomposition(c, k, dense_limit)
-    return float((spec.eigenvectors[i] * spec.eigenvectors[j]) @ _exp_spectrum(spec))
+    exp_w = _exp_spectrum(spec)
+    ri, rj = np.searchsorted(spec.simplices, (i, j))
+    if i not in spec.simplices[ri:ri + 1] or j not in spec.simplices[rj:rj + 1]:
+        return float(i == j)
+    return float((spec.eigenvectors[ri] * spec.eigenvectors[rj]) @ exp_w)
 
 
 def compute(

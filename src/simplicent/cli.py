@@ -14,13 +14,13 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .adjacency import combined_adjacency, interaction_count
-from .centrality import DEFAULT_DENSE_LIMIT, MEASURES, compute
+from .centrality import DEFAULT_DENSE_LIMIT, MEASURES, compute, covered_simplices
 from .complexes import (
     CliqueComplex,
     build_clique_complex,
@@ -188,23 +188,31 @@ def _load_complex(cfg: RunConfig) -> CliqueComplex:
     return build_clique_complex(graph, cfg.max_level)
 
 
+def _check_dense_limit(c: CliqueComplex, cfg: RunConfig) -> None:
+    """Refuse the run before any measure is computed when subgraph
+    centrality is requested at a level above ``--dense-limit``."""
+    if "subgraph" in cfg.measures:
+        for k in cfg.levels:
+            covered_simplices(c, k, cfg.dense_limit)
+
+
 def _level_name(k: int) -> str:
     return LEVEL_NAMES.get(k, f"{k}-simplices")
 
 
 def _cmd_build(cfg: RunConfig) -> int:
-    c = _load_complex(cfg)
+    # one level more than is printed: the top level's interactions need its cofaces
+    c = _load_complex(replace(cfg, max_level=cfg.max_level + 1))
     rows = []
     for k in range(cfg.max_level + 1):
-        count = c.n_simplices(k)
-        inter = interaction_count(combined_adjacency(c, k)) if k < cfg.max_level else None
-        rows.append([k, _level_name(k), count, inter])
+        rows.append([k, _level_name(k), c.n_simplices(k), interaction_count(combined_adjacency(c, k))])
     _emit(cfg, ["level", "name", "simplices", "interactions"], list(zip(*rows)))
     return 0
 
 
 def _cmd_centrality(cfg: RunConfig) -> int:
     c = _load_complex(cfg)
+    _check_dense_limit(c, cfg)
     scores: list[list[np.ndarray]] = [[] for _ in cfg.measures]
     for k in cfg.levels:
         for per_level, m in zip(scores, cfg.measures):
@@ -266,6 +274,7 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
 
 def _cmd_correlate(cfg: RunConfig) -> int:
     c = _load_complex(cfg)
+    _check_dense_limit(c, cfg)
     table = correlation_table(
         c,
         measures=tuple(cfg.measures),
@@ -294,6 +303,7 @@ def _cmd_essential(cfg: RunConfig) -> int:
         raise ValueError("--annotations is required for the essential command")
     flags = read_annotations(cfg.annotations).flags_for(c.graph)
     grid = tuple(cfg.grid) if cfg.grid else DEFAULT_GRID
+    _check_dense_limit(c, cfg)
     rows = []
     for k in cfg.levels:
         for m in cfg.measures:
@@ -351,8 +361,8 @@ def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> Non
     # so that existing command lines (perfbench's among them) keep working
     parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit",
-                        help="largest level, in simplices, given the dense eigendecomposition that "
-                             f"subgraph and communicability use (default {DEFAULT_DENSE_LIMIT})")
+                        help="most simplices with a neighbour in one level that the eigendecomposition behind "
+                             f"subgraph centrality may cover; isolated ones score 1 (default {DEFAULT_DENSE_LIMIT})")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats as spstats
 from scipy.linalg import expm
 
-from conftest import sid
+from conftest import sid, whole_level_eigenpairs
 from oracles import (
     brute_betweenness,
     brute_closeness,
@@ -46,7 +46,6 @@ from simplicent import (
     rank_nodes,
     select_model,
     shortest_distances,
-    spectral_decomposition,
     subgraph_centrality,
     upper_adjacency,
 )
@@ -162,8 +161,7 @@ def test_criterion_07_structural_identities_on_er_graphs():
                 if c.n_simplices(k) == 0:
                     continue
                 mat = combined_adjacency(c, k).mat.toarray().astype(float)
-                spec = spectral_decomposition(c, k)
-                v, w = spec.eigenvectors, spec.eigenvalues
+                w, v = whole_level_eigenpairs(c, k)
                 ref = expm(mat)
                 err = np.linalg.norm(ref - ((v * np.cosh(w)) @ v.T + (v * np.sinh(w)) @ v.T))
                 # 1e-10 read as relative Frobenius error: ||exp(A)||_F reaches

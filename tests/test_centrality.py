@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import sid
+from conftest import sid, whole_level_eigenpairs
 from oracles import (
     ba_graph,
     brute_betweenness,
@@ -133,8 +133,8 @@ class TestWalkCount:
 
     @pytest.mark.parametrize("m", range(7))
     def test_matches_spectral_reconstruction(self, fig, m):
-        spec = spectral_decomposition(fig, 1)
-        rebuilt = (spec.eigenvectors * spec.eigenvalues**m) @ spec.eigenvectors.T
+        w, v = whole_level_eigenpairs(fig, 1)
+        rebuilt = (v * w**m) @ v.T
         assert np.allclose(walk_count(fig, 1, m), rebuilt, atol=1e-8)
 
 
@@ -246,36 +246,17 @@ class TestSubgraphCentrality:
             assert np.allclose(subgraph_centrality(fig, k).scores, np.diag(expm(mat)), atol=1e-10)
 
     def test_exp_equals_cosh_plus_sinh(self, fig):
-        spec = spectral_decomposition(fig, 1)
-        v, w = spec.eigenvectors, spec.eigenvalues
+        w, v = whole_level_eigenpairs(fig, 1)
         cosh = (v * np.cosh(w)) @ v.T
         sinh = (v * np.sinh(w)) @ v.T
         reference = expm(combined_adjacency(fig, 1).mat.toarray().astype(float))
         assert np.linalg.norm(reference - (cosh + sinh)) <= 1e-10
 
-    def test_series_fallback_matches_dense(self, fig):
-        dense = subgraph_centrality(fig, 1, method="dense").scores
-        series = subgraph_centrality(fig, 1, method="series", series_tol=1e-10).scores
-        assert np.allclose(dense, series, atol=1e-8)
-
-    @pytest.mark.parametrize("make_complex", [lambda: example_complex(3), lambda: _er_blocks_complex(1)],
-                             ids=["fig", "er-blocks-1"])
-    def test_series_does_not_depend_on_block_size(self, make_complex, monkeypatch):
-        c = make_complex()
-        for k in range(c.max_level):
-            runs = []
-            for size in (1, 2, centrality.SERIES_BLOCK):
-                monkeypatch.setattr(centrality, "SERIES_BLOCK", size)
-                runs.append(subgraph_centrality(c, k, method="series", series_tol=1e-10))
-            dense = subgraph_centrality(c, k, method="dense").scores
-            assert np.allclose(dense, runs[0].scores, atol=1e-8)
-            for got in runs[1:]:
-                assert got.params == runs[0].params
-                assert got.scores.tobytes() == runs[0].scores.tobytes()
-
     def test_auto_refuses_above_limit_with_hint(self, fig):
-        with pytest.raises(ValueError, match="series"):
-            subgraph_centrality(fig, 1, dense_limit=4)
+        # 12 of the 14 edges have a neighbour; the limit counts those
+        with pytest.raises(ValueError, match="level 1 has 12 simplices with a neighbour.*--dense-limit"):
+            subgraph_centrality(fig, 1, dense_limit=11)
+        assert subgraph_centrality(fig, 1, dense_limit=12).scores.shape == (14,)
 
     def test_extremal_families(self):
         l, k = 8, 2
@@ -454,39 +435,59 @@ def _k45_and_k5():
     return _complex_of(_complete_multipartite(4, 5) + list(itertools.combinations(range(9, 14), 2)), 14, 3)
 
 
-# (complex, level, the number of coface-free k-simplices minus the faces they touch)
+def _ba_planted(seed):
+    """A BA(60, 3) graph with cliques of 5, 6 and 7 vertices planted on
+    random vertices: its level 2 has isolated triangles."""
+    rng = np.random.default_rng(seed)
+    edges = set(ba_graph(60, 3, rng).edges)
+    for size in (5, 6, 7):
+        edges.update(itertools.combinations(sorted(rng.choice(60, size, replace=False).tolist()), 2))
+    return _complex_of(edges, 60, 3)
+
+
+# (complex, level, the number of coface-free k-simplices with a neighbour
+# minus the faces they touch, the number of isolated k-simplices)
 DEFLATION_CASES = [
-    pytest.param(_k45, 1, 11, id="K45-level1"),
-    pytest.param(_k444, 2, 16, id="K444-level2"),
-    pytest.param(lambda: build_clique_complex(ba_graph(100, 3, np.random.default_rng(1400)), 3), 1, 51,
+    pytest.param(_k45, 1, 11, 0, id="K45-level1"),
+    pytest.param(_k444, 2, 16, 0, id="K444-level2"),
+    pytest.param(lambda: build_clique_complex(ba_graph(100, 3, np.random.default_rng(1400)), 3), 1, 51, 0,
                  id="BA-100-3-level1"),
-    pytest.param(_k45_and_k5, 1, 11, id="K45+K5-level1"),
-    pytest.param(lambda: _complex_of([(0, 1), (2, 3), (4, 5)], 6, 2), 1, 0, id="matching-level1"),
-    pytest.param(lambda: _complex_of([], 4, 2), 1, 0, id="edgeless-level1"),
-    pytest.param(_k45, 0, 0, id="K45-level0"),
-    pytest.param(_k444, 1, 0, id="K444-level1"),
-] + [pytest.param(lambda: example_complex(3), k, 0, id=f"fig-level{k}") for k in range(3)]
+    pytest.param(_k45_and_k5, 1, 11, 10, id="K45+K5-level1"),
+    pytest.param(lambda: _complex_of([(0, 1), (2, 3), (4, 5)], 6, 2), 1, 0, 3, id="matching-level1"),
+    pytest.param(lambda: _complex_of([], 4, 2), 1, 0, 0, id="edgeless-level1"),
+    pytest.param(lambda: _complex_of([], 4, 2), 0, 0, 4, id="edgeless-level0"),
+    pytest.param(_k45, 0, 0, 0, id="K45-level0"),
+    pytest.param(_k444, 1, 0, 0, id="K444-level1"),
+    pytest.param(functools.partial(_ba_planted, 5), 2, 0, 4, id="BA-60-3-planted-level2"),
+] + [pytest.param(lambda: example_complex(3), k, 0, isolated, id=f"fig-level{k}")
+     for k, isolated in enumerate((0, 2, 3))]
 
 
-@pytest.mark.parametrize("make_complex, k, deflated", DEFLATION_CASES)
-def test_deflated_decomposition_matches_dense_oracle(make_complex, k, deflated):
-    """The decomposition that splits off the coface-free kernel of B_k against
-    a test-side dense eigendecomposition and scipy's expm."""
+@pytest.mark.parametrize("make_complex, k, deflated, isolated", DEFLATION_CASES)
+def test_deflated_decomposition_matches_dense_oracle(make_complex, k, deflated, isolated):
+    """The decomposition that leaves out the isolated simplices and splits off
+    the coface-free kernel of B_k, against a test-side dense
+    eigendecomposition and scipy's expm.  At the 9-node example's level 2 the
+    isolated triangles are {1,2,3}, {1,2,4} and {6,7,8}."""
     c = make_complex()
-    if k >= 1:
-        free = np.flatnonzero(np.diff(c.boundary(k + 1).indptr) == 0)
-        faces = np.unique(c.boundary(k).tocsc()[:, free].indices)
-        assert max(free.size - faces.size, 0) == deflated
     a = combined_adjacency(c, k).mat.toarray().astype(np.float64)
     n = a.shape[0]
+    lone = np.flatnonzero(~a.any(axis=1))
+    assert lone.size == isolated
+    if k >= 1:
+        free = np.setdiff1d(np.flatnonzero(np.diff(c.boundary(k + 1).indptr) == 0), lone)
+        faces = np.unique(c.boundary(k).tocsc()[:, free].indices)
+        assert max(free.size - faces.size, 0) == deflated
     spec = spectral_decomposition(c, k)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    assert spec.simplices.tolist() == np.setdiff1d(np.arange(n), lone).tolist()
+    assert spec.eigenvectors.shape == (n - isolated, n - isolated)
+    assert not spec.simplices.flags.writeable
+    assert not spec.eigenvalues.flags.writeable and not spec.eigenvectors.flags.writeable
+    assert (np.diff(spec.eigenvalues) <= 0).all()
+    w, v = whole_level_eigenpairs(c, k)
     want = np.linalg.eigh(a)[0][::-1]
-    assert w.shape == (n,) and v.shape == (n, n)
     assert (np.abs(w - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all()
-    assert (np.diff(w) <= 0).all()
     assert np.count_nonzero(w == -(k + 1)) >= deflated
-    assert not w.flags.writeable and not v.flags.writeable
 
     def norm2(x):
         return np.linalg.norm(x, 2) if x.size else 0.0
@@ -495,10 +496,15 @@ def test_deflated_decomposition_matches_dense_oracle(make_complex, k, deflated):
     assert norm2(a @ v - v * w) <= bound
     assert norm2(v.T @ v - np.eye(n)) <= bound
     exp_a = expm(a)
-    assert np.allclose(subgraph_centrality(c, k).scores, np.diag(exp_a), rtol=1e-10, atol=1e-10)
+    scores = subgraph_centrality(c, k).scores
+    assert np.allclose(scores, np.diag(exp_a), rtol=1e-10, atol=1e-10)
+    assert (scores[lone] == 1.0).all()
     for i in range(n):
         j = (7 * i + 3) % n
         assert communicability(c, k, i, j) == pytest.approx(exp_a[i, j], rel=1e-10, abs=1e-10)
+    for i in lone.tolist():
+        for j in range(n):
+            assert communicability(c, k, i, j) == float(i == j) == communicability(c, k, j, i)
 
 
 class TestSpectralCache:
@@ -522,6 +528,8 @@ class TestSpectralCache:
         return calls
 
     def test_one_decomposition_per_level(self, monkeypatch):
+        """The 9-node example decomposes its simplices with a neighbour: all 9
+        nodes, 12 of the 14 edges and 4 of the 7 triangles."""
         c = example_complex(3)
         calls = self._count_eigensolves(monkeypatch)
         for k in range(3):
@@ -530,7 +538,7 @@ class TestSpectralCache:
             n = c.n_simplices(k)
             for p in range(20):
                 communicability(c, k, p % n, (7 * p + 1) % n)
-            assert calls == [("eigh", c.n_simplices(j)) for j in range(k + 1)]
+            assert calls == [("eigh", size) for size in (9, 12, 4)[:k + 1]]
 
     @pytest.mark.parametrize("make_complex, sizes", [(_k45, [9, 9]), (_k444, [12, 48, 48])], ids=["K45", "K444"])
     def test_one_reduced_decomposition_per_level(self, make_complex, sizes, monkeypatch):
@@ -560,6 +568,8 @@ class TestSpectralCache:
             spec.eigenvalues[0] = 0.0
         with pytest.raises(ValueError):
             spec.eigenvectors[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            spec.simplices[0] = 1
 
     def test_cache_does_not_keep_complex_alive(self, fig_graph):
         c = build_clique_complex(fig_graph, 3)
@@ -578,7 +588,7 @@ class TestSpectralCache:
         assert second.level == 2 and c._spectrum is second
         calls = self._count_eigensolves(monkeypatch)
         again = spectral_decomposition(c, 1)
-        assert again is not first and c._spectrum is again and calls == [("eigh", c.n_simplices(1))]
+        assert again is not first and c._spectrum is again and calls == [("eigh", 12)]
         assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
 
 

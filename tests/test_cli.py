@@ -14,6 +14,7 @@ from simplicent import (
     build_clique_complex,
     cli,
     compute,
+    stats,
     example_graph,
     level_summary,
     read_edge_list,
@@ -53,7 +54,7 @@ class TestBuild:
         assert "0,nodes,9,14" in out
         assert "1,edges,14," in out
         assert "2,triangles,7," in out
-        assert "3,tetrahedra,1,NA" in out
+        assert "3,tetrahedra,1,0" in out
 
     def test_empty_file_succeeds(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
@@ -136,6 +137,30 @@ class TestCentrality:
         assert main(["centrality", fig_file, "--level", "1", "--measure", "subgraph",
                      "--dense-limit", "4"]) == 2
         assert "--dense-limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["centrality", "correlate", "essential"])
+    def test_dense_limit_refuses_before_any_measure(self, fig_file, tmp_path, capsys, monkeypatch, command):
+        """Levels 0, 1 and 2 of the example have 9, 12 and 4 simplices with a
+        neighbour, so a limit of 11 refuses level 1, before level 0 runs."""
+        calls = []
+
+        def counted(c, k, measure, **kwargs):
+            calls.append((k, measure))
+            return compute(c, k, measure, **kwargs)
+
+        monkeypatch.setattr(cli, "compute", counted)
+        monkeypatch.setattr(stats, "compute", counted)
+        ann = tmp_path / "ann.txt"
+        ann.write_text("1 1\n2 0\n")
+        extra = ["--annotations", str(ann)] if command == "essential" else []
+        assert main([command, fig_file, *extra, "--level", "0,1,2", "--measure", "closeness,subgraph",
+                     "--dense-limit", "11"]) == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "level 1 has 12 simplices with a neighbour" in err and "--dense-limit" in err
+        assert main([command, fig_file, *extra, "--level", "0,1,2", "--measure", "closeness,subgraph",
+                     "--dense-limit", "12"]) == 0
+        assert len(calls) == 6
 
     @pytest.mark.parametrize("measure", MEASURES)
     def test_every_exit_0_score_is_finite(self, small_file, tmp_path, measure):
