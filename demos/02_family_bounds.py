@@ -17,18 +17,17 @@ print(f"level k={k}\n")
 print("S family: l triangles sharing an edge (complete underlying network)")
 for l in (3, 10, 25):
     c = sc.generate_S(l, k)
-    d = sc.shortest_distances(c, k)
+    summary = sc.level_summary(c, k)
     cl = sc.closeness(c, k).scores
     print(f"  l={l:3d}: closeness all {cl[0]:.0f}, betweenness all "
           f"{sc.betweenness(c, k).scores.max():.0f}, "
-          f"avg path length {sc.average_path_length(d):.0f}, diameter {sc.diameter(d):.0f}")
+          f"avg path length {summary.avg_path_lengths[0]:.0f}, diameter {summary.diameter:.0f}")
 
 print("\nP family: l triangles in a chain (path underlying network)")
 for l in (3, 10, 25):
     c = sc.generate_P(l, k)
-    d = sc.shortest_distances(c, k)
     end = c.simplex_id(k, tuple(range(k + 1)))
-    print(f"  l={l:3d}: avg path length {sc.average_path_length(d):.4f} "
+    print(f"  l={l:3d}: avg path length {sc.level_summary(c, k).avg_path_lengths[0]:.4f} "
           f"(bound (l+1)/3 = {(l + 1) / 3:.4f}), "
           f"end closeness {sc.closeness(c, k).scores[end]:.4f} (= 2/l = {2 / l:.4f})")
 

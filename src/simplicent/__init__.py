@@ -63,12 +63,7 @@ from .essential import (
 from .paths import (
     ComponentLabeling,
     DistanceMatrix,
-    average_path_length,
-    average_path_length_by_component,
     connected_components,
-    diameter,
-    eccentricities,
-    eccentricity,
     level_summary,
     shortest_distances,
 )

@@ -1,10 +1,10 @@
 """Centrality measures for the k-simplices of a clique complex.
 
 Every measure is evaluated on the combined level-k adjacency ``A``.  The
-shortest-path family (degree, closeness, harmonic closeness, betweenness)
-calls the block-of-sources traversal kernels of :mod:`simplicent.paths`;
-the spectral family (Katz, eigenvector, subgraph centrality,
-communicability) works on the same matrix:
+shortest-path family reads :mod:`simplicent.paths`: closeness and harmonic
+closeness come from the level's cached distance pass, betweenness from the
+block-of-sources Brandes kernel.  The spectral family (Katz, eigenvector,
+subgraph centrality, communicability) works on the same matrix:
 
 * Katz solves ``(I - alpha*A) x = 1`` for ``0 < alpha < 1/lambda_1`` by
   conjugate gradients,
@@ -48,7 +48,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 from .adjacency import LevelAdjacency, combined_adjacency, simplex_degrees
 from .complexes import CliqueComplex
 from .errors import NonConvergenceError
-from .paths import components_of, distance_blocks, pair_dependencies
+from .paths import _level_distances, components_of, pair_dependencies
 
 DEFAULT_DENSE_LIMIT = 5_000
 KATZ_RTOL = 1e-13  # conjugate gradients stop once ||r||_2 <= KATZ_RTOL * ||1||_2
@@ -109,14 +109,10 @@ def closeness(c: CliqueComplex, k: int, normalized: bool = True) -> CentralityVe
     multiplies by (component size - 1), so scores from different components
     are not globally comparable.  Singleton components score 0.
     """
-    adj = combined_adjacency(c, k)
-    labeling = components_of(adj)
+    labeling, _, farness, _ = _level_distances(c, k)
     reach = np.asarray(labeling.sizes, dtype=np.float64)[labeling.labels] - 1.0
-    scores = np.zeros(adj.n)
-    for block, rows in distance_blocks(adj.mat):
-        farness = np.where(np.isfinite(rows), rows, 0.0).sum(axis=1)
-        numerator = reach[block] if normalized else 1.0
-        scores[block] = np.divide(numerator, farness, out=np.zeros_like(farness), where=reach[block] > 0)
+    numerator = reach if normalized else 1.0
+    scores = np.divide(numerator, farness, out=np.zeros_like(farness), where=reach > 0)
     note = "per-component; singleton components scored 0"
     return CentralityVector(k, "closeness", scores, normalized=normalized, note=note)
 
@@ -124,12 +120,8 @@ def closeness(c: CliqueComplex, k: int, normalized: bool = True) -> CentralityVe
 def harmonic_closeness(c: CliqueComplex, k: int) -> CentralityVector:
     """Sum of reciprocal distances to all other simplices (1/inf == 0), which
     stays well defined on disconnected levels."""
-    adj = combined_adjacency(c, k)
-    scores = np.zeros(adj.n)
-    for block, rows in distance_blocks(adj.mat):
-        inverse = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0)
-        scores[block] = inverse.sum(axis=1)
-    return CentralityVector(k, "harmonic", scores)
+    _, _, _, harmonic = _level_distances(c, k)
+    return CentralityVector(k, "harmonic", harmonic.copy())
 
 
 def betweenness(c: CliqueComplex, k: int, normalized: bool = True) -> CentralityVector:

@@ -176,15 +176,9 @@ def _load_complex(cfg: RunConfig) -> CliqueComplex:
         raise ValueError("an input edge-list file is required")
     with open(cfg.input, "r", encoding="utf-8") as fh:
         try:
-            graph, report = parse_edge_list(fh)
+            graph, _ = parse_edge_list(fh)
         except ValueError as exc:
             raise ValueError(f"{cfg.input}: {exc}") from exc
-    if report.dropped_self_loops or report.dropped_duplicates:
-        print(
-            f"warning: dropped {report.dropped_self_loops} self-loops and "
-            f"{report.dropped_duplicates} duplicate edges",
-            file=sys.stderr,
-        )
     return build_clique_complex(graph, cfg.max_level)
 
 

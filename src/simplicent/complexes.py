@@ -186,6 +186,7 @@ class CliqueComplex:
         self._keys: dict[int, np.ndarray] = {}
         self._boundary: dict[int, sparse.csr_matrix] = {}
         self._combined: dict[int, sparse.csr_matrix] = {}  # filled by adjacency.combined_adjacency
+        self._distances: dict[int, tuple] = {}  # filled by paths._level_distances
         self._spectrum = None  # one level at a time, filled by centrality.spectral_decomposition
 
     def counts(self) -> list[int]:

@@ -93,10 +93,29 @@ def project_to_nodes(c: CliqueComplex, scores: CentralityVector) -> CentralityVe
     )
 
 
+def _tie_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ascending order of ``x`` and, per sorted position, the index of
+    its group of tied scores.  Sorted neighbours are tied when equal or when
+    their gap is at most 1e-12 * max(|neighbours|) + 1e-13 * max|x|: scores
+    equal in exact arithmetic must not be ordered by their rounding noise."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    finite = np.isfinite(xs)
+    floor = 1e-13 * np.abs(xs[finite]).max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        near = np.diff(xs) <= 1e-12 * np.maximum(np.abs(xs[1:]), np.abs(xs[:-1])) + floor
+    tied = (xs[1:] == xs[:-1]) | (near & finite[1:] & finite[:-1])
+    group = np.zeros(x.size, dtype=np.int64)
+    group[1:] = np.cumsum(~tied)
+    return order, group
+
+
 def rank_nodes(scores: CentralityVector) -> np.ndarray:
-    """Node IDs by descending score, ties broken by ascending ID."""
+    """Node IDs by descending score, tied scores (see :func:`_tie_groups`)
+    by ascending ID."""
     values = np.asarray(scores.scores, dtype=np.float64)
-    return np.lexsort((np.arange(values.size), -values))
+    order, group = _tie_groups(values)
+    return order[np.lexsort((order, -group))]
 
 
 @dataclass(eq=False)

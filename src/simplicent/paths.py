@@ -13,6 +13,9 @@ yields breadth-first distance rows from ``scipy.sparse.csgraph``, and
 :func:`pair_dependencies` runs Brandes' dependency recursion level by level
 as sparse-times-dense products over the block.  Components come from
 ``csgraph.connected_components``.
+
+Each level's distance rows are reduced in one cached pass, which
+:func:`level_summary`, closeness and harmonic closeness all read.
 """
 
 from __future__ import annotations
@@ -144,58 +147,10 @@ def components_of(adj: LevelAdjacency) -> ComponentLabeling:
     return ComponentLabeling(adj.level, labels.astype(np.int64), np.bincount(labels, minlength=count).tolist())
 
 
-def eccentricity(d: DistanceMatrix, i: int) -> float:
-    """Largest distance from simplex ``i`` within its component (0 for a
-    singleton)."""
-    row = d.dist[i]
-    return float(row[np.isfinite(row)].max())
-
-
-def eccentricities(d: DistanceMatrix) -> np.ndarray:
-    masked = np.where(np.isfinite(d.dist), d.dist, -np.inf)
-    return masked.max(axis=1) if d.n else np.zeros(0)
-
-
-def diameter(d: DistanceMatrix) -> float:
-    """Maximum eccentricity over all simplices (nan for an empty level)."""
-    if d.n == 0:
-        return math.nan
-    return float(eccentricities(d).max())
-
-
-def average_path_length(d: DistanceMatrix) -> float:
-    """Mean distance over all unordered pairs; the level must be connected.
-
-    Undefined (nan) with fewer than two simplices.  On a connected level the
-    value lies in [1, (n+1)/3].
-    """
-    n = d.n
-    if n < 2:
-        return math.nan
-    off = d.dist[~np.eye(n, dtype=bool)]
-    if not np.isfinite(off).all():
-        raise ValueError("level is not connected; use average_path_length_by_component")
-    return float(off.sum() / (n * (n - 1)))
-
-
-def average_path_length_by_component(
-    d: DistanceMatrix, labeling: ComponentLabeling
-) -> list[float]:
-    """Per-component mean pairwise distance (nan for singleton components)."""
-    out: list[float] = []
-    for comp, size in enumerate(labeling.sizes):
-        if size < 2:
-            out.append(math.nan)
-            continue
-        idx = np.flatnonzero(labeling.labels == comp)
-        block = d.dist[np.ix_(idx, idx)]
-        out.append(float(block.sum() / (size * (size - 1))))
-    return out
-
-
 @dataclass(eq=False)
 class LevelPathSummary:
-    """Streaming per-level path statistics (no full matrix kept)."""
+    """Per-level path statistics (no full matrix kept); ``eccentricities``
+    is the read-only array of the level's cached distance pass."""
 
     level: int
     n: int
@@ -205,22 +160,32 @@ class LevelPathSummary:
     eccentricities: np.ndarray
 
 
-def level_summary(c: CliqueComplex, k: int) -> LevelPathSummary:
-    """Component count/sizes, diameter, per-component average path length and
-    all eccentricities at level k, one block of distance rows at a time."""
-    adj = combined_adjacency(c, k)
-    labeling = components_of(adj)
-    n = adj.n
-    ecc = np.zeros(n)
-    comp_sums = np.zeros(labeling.n_components)
-    for block, rows in distance_blocks(adj.mat):
-        rows[~np.isfinite(rows)] = 0.0
-        ecc[block] = rows.max(axis=1)
-        np.add.at(comp_sums, labeling.labels[block], rows.sum(axis=1))
+def _level_distances(c: CliqueComplex, k: int) -> tuple[ComponentLabeling, np.ndarray, np.ndarray, np.ndarray]:
+    """The one distance pass of level k: its components, and per simplex the
+    eccentricity, the farness (sum of finite distances) and the harmonic sum
+    (1/inf == 0).  Computed on first use and cached on the complex with
+    read-only arrays."""
+    cached = c._distances.get(k)
+    if cached is None:
+        adj = combined_adjacency(c, k)
+        labeling = components_of(adj)
+        ecc, farness, harmonic = np.zeros(adj.n), np.zeros(adj.n), np.zeros(adj.n)
+        for block, rows in distance_blocks(adj.mat):
+            harmonic[block] = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0).sum(axis=1)
+            rows[~np.isfinite(rows)] = 0.0
+            ecc[block] = rows.max(axis=1)
+            farness[block] = rows.sum(axis=1)
+        for arr in (labeling.labels, ecc, farness, harmonic):
+            arr.flags.writeable = False
+        cached = c._distances[k] = (labeling, ecc, farness, harmonic)
+    return cached
 
-    avg = [
-        float(comp_sums[i]) / (size * (size - 1)) if size >= 2 else math.nan
-        for i, size in enumerate(labeling.sizes)
-    ]
-    diam = float(ecc.max()) if n else math.nan
-    return LevelPathSummary(k, n, labeling.sizes, diam, avg, ecc)
+
+def level_summary(c: CliqueComplex, k: int) -> LevelPathSummary:
+    """Component sizes, diameter, per-component average path length and all
+    eccentricities at level k, read from :func:`_level_distances`."""
+    labeling, ecc, farness, _ = _level_distances(c, k)
+    sizes = list(labeling.sizes)
+    comp_sums = np.bincount(labeling.labels, weights=farness, minlength=len(sizes))
+    avg = [float(comp_sums[i]) / (size * (size - 1)) if size >= 2 else math.nan for i, size in enumerate(sizes)]
+    return LevelPathSummary(k, ecc.size, sizes, float(ecc.max()) if ecc.size else math.nan, avg, ecc)

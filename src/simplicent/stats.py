@@ -38,7 +38,7 @@ from scipy import optimize, special
 from .adjacency import simplex_degrees
 from .centrality import DEFAULT_DENSE_LIMIT, CentralityVector, compute
 from .complexes import CliqueComplex
-from .essential import project_to_nodes
+from .essential import _tie_groups, project_to_nodes
 
 FAMILIES = ("gen-pareto", "gev", "gamma", "exponential", "lognormal", "normal")
 
@@ -357,17 +357,9 @@ def select_model(fits: list[FitResult]) -> ModelSelection:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks, with sorted neighbours tied when their gap is at most
-    1e-12 * max(|neighbours|) + 1e-13 * max|x|: scores equal in exact
-    arithmetic must not be ordered by their rounding noise."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    finite = np.isfinite(xs)
-    floor = 1e-13 * np.abs(xs[finite]).max(initial=0.0)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        near = np.diff(xs) <= 1e-12 * np.maximum(np.abs(xs[1:]), np.abs(xs[:-1])) + floor
-    tied = (xs[1:] == xs[:-1]) | (near & finite[1:] & finite[:-1])
-    group = np.concatenate([[0], np.cumsum(~tied)])
+    """Average ranks, near-tied scores (see :func:`essential._tie_groups`)
+    sharing the mean of their ranks."""
+    order, group = _tie_groups(x)
     sizes = np.bincount(group)
     first = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     ranks = np.empty(x.size)

@@ -32,7 +32,6 @@ from simplicent import (
     combined_adjacency,
     communicability,
     degree_centrality,
-    diameter,
     example_complex,
     fit_all,
     generate_P,
@@ -40,6 +39,7 @@ from simplicent import (
     generate_T,
     harmonic_closeness,
     katz,
+    level_summary,
     lower_adjacency,
     random_baseline,
     read_edge_list,
@@ -98,7 +98,7 @@ def test_criterion_05_family_lemmas():
             ok &= bool((betweenness(s, k).scores == 0.0).all())
             total = int(d.dist.sum())
             ok &= Fraction(total, l * (l - 1)) == 1
-            ok &= diameter(d) == 1
+            ok &= level_summary(s, k).diameter == 1
 
             p = generate_P(l, k)
             dp = shortest_distances(p, k)
@@ -129,7 +129,7 @@ def test_criterion_06_t_family_worked_values():
     c = generate_T(2, [1, 2, 4])
     lone_arm = c.simplex_id(2, (1, 2, 3))
     score = closeness(c, 2).scores[lone_arm]
-    diam = diameter(shortest_distances(c, 2))
+    diam = level_summary(c, 2).diameter
     report(6, score == 7 / 13 and diam == 2,
            f"t^2(1,2,4): peripheral closeness {score} (exact 7/13), diameter {diam} (exact 2)")
 

@@ -304,27 +304,28 @@ def test_shortest_path_measures_match_exhaustive_enumeration(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_block_kernel_matches_exhaustive_enumeration(seed, monkeypatch):
-    c = build_clique_complex(er_blocks_graph(np.random.default_rng(1300 + seed)), 5)
+    graph = er_blocks_graph(np.random.default_rng(1300 + seed))
+    runs = []
+    for size in (1, 3, paths.BLOCK_SIZE):
+        monkeypatch.setattr(paths, "BLOCK_SIZE", size)
+        c = build_clique_complex(graph, 5)  # fresh, or the distance pass cached at one size serves the next
+        runs.append([
+            [betweenness(c, k, normalized=False).scores, closeness(c, k).scores, harmonic_closeness(c, k).scores]
+            for k in range(c.max_level)
+        ])
     for k in range(c.max_level):
         adj = combined_adjacency(c, k).mat.toarray()
         want = [
             np.array([float(x) for x in oracle], dtype=np.float64)
             for oracle in (brute_betweenness(adj), brute_closeness(adj, normalized=True), brute_harmonic(adj))
         ]
-        runs = []
-        for size in (1, 3, paths.BLOCK_SIZE):
-            monkeypatch.setattr(paths, "BLOCK_SIZE", size)
-            got = [
-                betweenness(c, k, normalized=False).scores,
-                closeness(c, k).scores,
-                harmonic_closeness(c, k).scores,
-            ]
-            for g, w in zip(got, want):
+        for run in runs:
+            for g, w in zip(run[k], want):
                 assert g.shape == w.shape and (np.abs(g - w) <= 1e-12).all()
-            runs.append(got)
-        for got in runs[1:]:
-            assert (np.abs(got[0] - runs[0][0]) <= 1e-12).all()
-            assert (got[1] == runs[0][1]).all() and (got[2] == runs[0][2]).all()
+        first = runs[0][k]
+        for got in (run[k] for run in runs[1:]):
+            assert (np.abs(got[0] - first[0]) <= 1e-12).all()
+            assert (got[1] == first[1]).all() and (got[2] == first[2]).all()
 
 
 def test_compute_dispatch_unknown_measure(fig):

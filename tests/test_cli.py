@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,6 +73,27 @@ class TestBuild:
         bad.write_text("a b\none two three\n")
         assert main(["build", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_dropped_edges_warned_once(self, tmp_path):
+        edges = tmp_path / "dups.txt"
+        edges.write_text("a b\nb c\na a\nb a\nc d\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = f"import sys; from simplicent.cli import main; sys.exit(main(['build', {str(edges)!r}]))"
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        warned = [line for line in done.stderr.splitlines() if "dropped" in line]
+        assert warned == ["edge list: dropped 1 self-loops and 1 duplicate edges"]
+
+    @pytest.mark.parametrize("max_level", ["0", "3", "5"])
+    def test_every_exit_0_count_is_finite(self, small_file, tmp_path, max_level):
+        out = tmp_path / "build.csv"
+        assert main(["build", small_file, "--max-level", max_level, "-o", str(out)]) == 0
+        header, rows = read_csv(str(out))
+        assert header[2:] == ["simplices", "interactions"]
+        assert len(rows) == int(max_level) + 1
+        bad = [row for row in rows if any(cell == "NA" or not math.isfinite(float(cell)) for cell in row[2:])]
+        assert not bad, bad
 
 
 class TestGenerate:

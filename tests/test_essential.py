@@ -88,6 +88,18 @@ class TestRanking:
         vec = CentralityVector(0, "x", np.array([0.1, 5.0, 3.0]))
         assert rank_nodes(vec).tolist() == [1, 2, 0]
 
+    def test_near_ties_rank_by_id(self):
+        # the same node projection, rounded two ways: equal in exact arithmetic
+        vec = CentralityVector(0, "x", np.array([1.0, 178.06716401948051, 2.0, 178.0671640194805]))
+        assert 178.06716401948051 > 178.0671640194805
+        assert rank_nodes(vec).tolist() == [1, 3, 2, 0]
+        vec.scores[[1, 3]] = vec.scores[[3, 1]]
+        assert rank_nodes(vec).tolist() == [1, 3, 2, 0]
+
+    def test_integer_degrees_keep_strict_order(self):
+        degrees = np.array([3, 10**6, 10**6 - 1, 3, 0, 10**6], dtype=np.int64)
+        assert rank_nodes(CentralityVector(0, "degree", degrees)).tolist() == [1, 5, 2, 0, 3, 4]
+
 
 class TestDetectionCurve:
     def test_perfect_ranking(self):

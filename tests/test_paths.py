@@ -1,4 +1,5 @@
-"""Distances, components, eccentricity/diameter, average path length."""
+"""Distances, components, eccentricity/diameter, average path length, and the
+cached per-level distance pass behind them."""
 
 import math
 from fractions import Fraction
@@ -10,17 +11,15 @@ from conftest import sid
 from oracles import er_blocks_graph, er_graph, floyd_warshall
 from simplicent import paths
 from simplicent import (
-    average_path_length,
-    average_path_length_by_component,
     build_clique_complex,
+    closeness,
     combined_adjacency,
     connected_components,
-    diameter,
-    eccentricities,
-    eccentricity,
+    example_complex,
     generate_P,
     generate_S,
     generate_T,
+    harmonic_closeness,
     level_summary,
     shortest_distances,
 )
@@ -69,30 +68,29 @@ class TestComponents:
 class TestEccentricityDiameter:
     def test_t_family_worked_example(self):
         c = generate_T(2, [1, 2, 4])
-        d = shortest_distances(c, 2)
+        summary = level_summary(c, 2)
         central = c.simplex_id(2, (0, 1, 2))
-        assert eccentricity(d, central) == 1
-        others = [i for i in range(d.n) if i != central]
-        assert all(eccentricity(d, i) == 2 for i in others)
-        assert diameter(d) == 2
+        assert summary.eccentricities[central] == 1
+        others = [i for i in range(summary.n) if i != central]
+        assert all(summary.eccentricities[i] == 2 for i in others)
+        assert summary.diameter == 2
 
     @pytest.mark.parametrize("l,k", [(5, 1), (4, 2), (3, 3)])
     def test_s_family_diameter_one(self, l, k):
-        assert diameter(shortest_distances(generate_S(l, k), k)) == 1
+        assert level_summary(generate_S(l, k), k).diameter == 1
 
     @pytest.mark.parametrize("l,k", [(2, 1), (5, 2), (7, 3)])
     def test_p_family_diameter(self, l, k):
-        assert diameter(shortest_distances(generate_P(l, k), k)) == l - 1
+        assert level_summary(generate_P(l, k), k).diameter == l - 1
 
     def test_singleton_eccentricity_zero(self):
-        d = shortest_distances(generate_P(1, 1), 1)
-        assert eccentricity(d, 0) == 0
+        assert level_summary(generate_P(1, 1), 1).eccentricities[0] == 0
 
 
 class TestAveragePathLength:
     @pytest.mark.parametrize("l,k", [(2, 1), (5, 2), (9, 3)])
     def test_s_family_is_one(self, l, k):
-        assert average_path_length(shortest_distances(generate_S(l, k), k)) == 1
+        assert level_summary(generate_S(l, k), k).avg_path_lengths == [1]
 
     @pytest.mark.parametrize("l,k", [(2, 2), (4, 1), (7, 2), (10, 3)])
     def test_p_family_attains_upper_bound_exactly(self, l, k):
@@ -101,17 +99,14 @@ class TestAveragePathLength:
         assert Fraction(total, l * (l - 1)) == Fraction(l + 1, 3)
 
     def test_two_adjacent_simplices(self):
-        assert average_path_length(shortest_distances(generate_P(2, 2), 2)) == 1
+        assert level_summary(generate_P(2, 2), 2).avg_path_lengths == [1]
 
     def test_single_simplex_undefined(self):
-        assert math.isnan(average_path_length(shortest_distances(generate_P(1, 2), 2)))
+        (value,) = level_summary(generate_P(1, 2), 2).avg_path_lengths
+        assert math.isnan(value)
 
-    def test_disconnected_level_rejected_but_per_component_works(self, fig):
-        d = shortest_distances(fig, 2)
-        with pytest.raises(ValueError, match="not connected"):
-            average_path_length(d)
-        labeling = connected_components(fig, 2)
-        values = average_path_length_by_component(d, labeling)
+    def test_disconnected_level_averages_per_component(self, fig):
+        values = level_summary(fig, 2).avg_path_lengths
         finite = [v for v in values if not math.isnan(v)]
         assert len(finite) == 1  # the 4-triangle component; isolated triangles are nan
         assert finite[0] == pytest.approx((1 + 1 + 1 + 2 + 2 + 2) / 6)
@@ -151,16 +146,8 @@ def test_lemma_bound_on_connected_levels(seed):
         if labeling.n_components != 1 or c.n_simplices(k) < 2:
             continue
         n = c.n_simplices(k)
-        l_k = average_path_length(shortest_distances(c, k))
+        (l_k,) = level_summary(c, k).avg_path_lengths
         assert 1 <= l_k <= (n + 1) / 3
-
-
-def test_eccentricities_vector_matches_scalar(fig):
-    d = shortest_distances(fig, 1)
-    vec = eccentricities(d)
-    assert vec.shape == (14,)
-    for i in range(14):
-        assert vec[i] == eccentricity(d, i)
 
 
 def test_matrix_limit_guard(fig):
@@ -170,14 +157,15 @@ def test_matrix_limit_guard(fig):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_block_kernel_matches_floyd_warshall(seed, monkeypatch):
-    c = build_clique_complex(er_blocks_graph(np.random.default_rng(1300 + seed)), 5)
-    levels = range(c.max_level)
-    assert any(c.n_simplices(k) == 0 for k in levels)
-    assert connected_components(c, 0).sizes.count(1) >= 2  # isolated simplices among other components
+    graph = er_blocks_graph(np.random.default_rng(1300 + seed))
     runs = []
     for size in (1, 3, paths.BLOCK_SIZE):
         monkeypatch.setattr(paths, "BLOCK_SIZE", size)
+        c = build_clique_complex(graph, 5)  # fresh, or the distance pass cached at one size serves the next
+        levels = range(c.max_level)
         runs.append([(shortest_distances(c, k).dist, level_summary(c, k), connected_components(c, k)) for k in levels])
+    assert any(c.n_simplices(k) == 0 for k in levels)
+    assert connected_components(c, 0).sizes.count(1) >= 2  # isolated simplices among other components
     for k in levels:
         reference = floyd_warshall(combined_adjacency(c, k).mat.toarray())
         finite = np.isfinite(reference)
@@ -199,3 +187,36 @@ def test_block_kernel_matches_floyd_warshall(seed, monkeypatch):
                 assert summary.diameter == reference[finite].max()
             else:
                 assert math.isnan(summary.diameter)
+
+
+class TestDistancePass:
+    def test_one_traversal_serves_every_path_statistic(self, monkeypatch):
+        c = example_complex(3)  # not the shared fixture, whose passes other tests may have cached
+        original = paths.distance_blocks
+        calls = []
+
+        def counted(mat):
+            calls.append(mat.shape[0])
+            return original(mat)
+
+        monkeypatch.setattr(paths, "distance_blocks", counted)
+        for k in range(3):
+            closeness(c, k)
+            harmonic_closeness(c, k)
+            level_summary(c, k)
+            closeness(c, k, normalized=False)
+        assert calls == c.counts()[:3]
+
+    def test_cached_arrays_are_read_only(self, fig):
+        for k in range(3):
+            summary = level_summary(fig, k)
+            harmonic = harmonic_closeness(fig, k).scores
+            labeling, *arrays = fig._distances[k]
+            for arr in (labeling.labels, *arrays):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                summary.eccentricities[0] = -1.0
+            harmonic[:] = -1.0  # the caller's own copy
+            assert (harmonic_closeness(fig, k).scores == arrays[2]).all()
+            assert (arrays[2] >= 0).all()
+            assert level_summary(fig, k) is not summary
