@@ -12,11 +12,8 @@ from .adjacency import (
     combined_adjacency,
     interaction_count,
     lower_adjacency,
-    simplex_degree,
     simplex_degrees,
-    underlying_network,
     upper_adjacency,
-    write_matrix,
 )
 from .centrality import (
     MEASURES,
@@ -32,7 +29,6 @@ from .centrality import (
     katz,
     spectral_decomposition,
     subgraph_centrality,
-    walk_count,
 )
 from .complexes import (
     CliqueComplex,
@@ -58,11 +54,9 @@ from .essential import (
     random_baseline,
     rank_nodes,
     read_annotations,
-    top_overlap,
 )
 from .paths import (
     ComponentLabeling,
-    DistanceMatrix,
     connected_components,
     level_summary,
     shortest_distances,

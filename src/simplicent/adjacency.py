@@ -5,19 +5,17 @@ adjacent when both are faces of one (k+1)-simplex: the off-diagonals of
 B_k^T B_k and B_{k+1} B_{k+1}^T for the complex's unsigned boundary matrices.
 The combined relation -- lower and not upper for k >= 1, plain graph
 adjacency for k = 0 -- is the adjacency used by every distance and centrality
-in this package, built once per level and cached on the complex; its graph
-view is the "underlying network of simplices".
+in this package, built once per level and cached on the complex.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .complexes import CliqueComplex, Graph
+from .complexes import CliqueComplex
 from .errors import InsufficientDepthError
 
 
@@ -26,9 +24,7 @@ class LevelAdjacency:
     """Symmetric 0/1 sparse adjacency among the k-simplices of one level."""
 
     level: int
-    kind: str  # "lower" | "upper" | "combined"
     mat: sparse.csr_matrix
-    complex: CliqueComplex = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -38,11 +34,8 @@ class LevelAdjacency:
         """Row sums: the simplex degree of every simplex at this level."""
         return np.asarray(self.mat.sum(axis=1)).ravel().astype(np.int64)
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.mat[i, j])
-
     def __repr__(self) -> str:
-        return f"LevelAdjacency(level={self.level}, kind={self.kind!r}, n={self.n})"
+        return f"LevelAdjacency(level={self.level}, n={self.n})"
 
 
 def _offdiag(prod: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -65,9 +58,9 @@ def lower_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     """
     n = c.n_simplices(k)
     if k == 0:
-        return LevelAdjacency(0, "lower", sparse.csr_matrix((n, n), dtype=np.int8), c)
+        return LevelAdjacency(0, sparse.csr_matrix((n, n), dtype=np.int8))
     b = c.boundary(k)
-    return LevelAdjacency(k, "lower", _offdiag(b.T.tocsr() @ b), c)
+    return LevelAdjacency(k, _offdiag(b.T.tocsr() @ b))
 
 
 def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
@@ -79,7 +72,7 @@ def upper_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     """
     _check_depth(c, k)
     b = c.boundary(k + 1)
-    return LevelAdjacency(k, "upper", _offdiag(b @ b.T), c)
+    return LevelAdjacency(k, _offdiag(b @ b.T))
 
 
 def _check_depth(c: CliqueComplex, k: int) -> None:
@@ -94,10 +87,8 @@ def combined_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
     """The level-k adjacency matrix: lower-and-not-upper for k >= 1, upper
     (i.e. ordinary graph adjacency) for k = 0.
 
-    The matrix is built once per level and cached on the complex; every call
-    wraps that same matrix, which callers must not modify.  The wrapper is
-    not cached: it points back at the complex, and that cycle would keep
-    each complex alive until a full garbage collection.
+    Built once per level and cached on the complex: every call returns the
+    same object, whose matrix callers must not modify.
     """
     if k not in c._combined:
         mat = upper_adjacency(c, k).mat
@@ -106,8 +97,8 @@ def combined_adjacency(c: CliqueComplex, k: int) -> LevelAdjacency:
             # at most one common (k+1)-simplex, so both matrices are 0/1; upper
             # is a subset of lower, so the difference is 0/1 and stores no zeros.
             mat = lower_adjacency(c, k).mat - mat
-        c._combined[k] = mat
-    return LevelAdjacency(k, "combined", c._combined[k], c)
+        c._combined[k] = LevelAdjacency(k, mat)
+    return c._combined[k]
 
 
 def simplex_degrees(c: CliqueComplex, k: int) -> np.ndarray:
@@ -129,34 +120,6 @@ def simplex_degrees(c: CliqueComplex, k: int) -> np.ndarray:
     return b.T @ np.diff(b.indptr).astype(np.int64) - (k + 1) * (1 + cofaces)
 
 
-def simplex_degree(a: LevelAdjacency, i: int) -> int:
-    """Number of other k-simplices adjacent to simplex ``i`` (row sum)."""
-    if a.kind != "combined":
-        raise ValueError(f"simplex degree is defined on combined adjacency, got {a.kind!r}")
-    return int(a.mat[i].sum())
-
-
 def interaction_count(a: LevelAdjacency) -> int:
     """Number of unordered adjacent pairs at this level."""
     return int(a.mat.sum()) // 2
-
-
-def underlying_network(a: LevelAdjacency) -> Graph:
-    """Graph whose nodes are the k-simplex IDs and whose edges are the
-    combined adjacencies; node labels render the simplices' vertex labels."""
-    if a.kind != "combined":
-        raise ValueError(f"underlying network is defined on combined adjacency, got {a.kind!r}")
-    pairs = sparse.triu(a.mat, k=1, format="coo")
-    return Graph(a.complex.simplex_labels(a.level), np.column_stack([pairs.row, pairs.col]))
-
-
-def write_matrix(a: LevelAdjacency, path: str, sidecar_path: str) -> None:
-    """Export as coordinate-format text (``i j`` per unordered pair, 0-based
-    IDs) plus a sidecar mapping ID -> vertex tuple."""
-    pairs = sparse.triu(a.mat, k=1, format="coo")  # row-major, as the rows of the matrix
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# level {a.level} kind {a.kind} n {a.n}\n")
-        fh.writelines(map("{} {}\n".format, pairs.row.tolist(), pairs.col.tolist()))
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
-        fh.write("# id\tvertices\n")
-        fh.writelines(map("{}\t{}\n".format, itertools.count(), a.complex.simplex_labels(a.level)))

@@ -45,10 +45,10 @@ from scipy.linalg import eigh, qr
 from scipy.linalg.blas import dgemm
 from scipy.sparse.linalg import ArpackNoConvergence, cg, eigsh
 
-from .adjacency import LevelAdjacency, combined_adjacency, simplex_degrees
+from .adjacency import combined_adjacency, simplex_degrees
 from .complexes import CliqueComplex
 from .errors import NonConvergenceError
-from .paths import _level_distances, components_of, pair_dependencies
+from .paths import _level_distances, connected_components, pair_dependencies
 
 DEFAULT_DENSE_LIMIT = 5_000
 KATZ_RTOL = 1e-13  # conjugate gradients stop once ||r||_2 <= KATZ_RTOL * ||1||_2
@@ -138,20 +138,6 @@ def betweenness(c: CliqueComplex, k: int, normalized: bool = True) -> Centrality
     if normalized:
         g = g / ((n - 1) * (n - 2) / 2.0)
     return CentralityVector(k, "betweenness", g, normalized=normalized)
-
-
-def walk_count(c: CliqueComplex, k: int, m: int) -> np.ndarray:
-    """Matrix counting the length-m walks between k-simplices (the m-th power
-    of the combined adjacency); mainly an oracle for the spectral measures."""
-    if m < 0:
-        raise ValueError("walk length must be >= 0")
-    adj = combined_adjacency(c, k)
-    n = adj.n
-    power = np.eye(n, dtype=np.int64)
-    mat = adj.mat.astype(np.int64)
-    for _ in range(m):
-        power = mat.dot(power)
-    return np.asarray(power)
 
 
 def covered_simplices(c: CliqueComplex, k: int, dense_limit: int = DEFAULT_DENSE_LIMIT) -> np.ndarray:
@@ -264,7 +250,7 @@ def _exp_spectrum(spec: SpectralDecomposition) -> np.ndarray:
     return np.exp(spec.eigenvalues)
 
 
-def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
+def _principal_by_component(c: CliqueComplex, k: int) -> tuple[float, np.ndarray]:
     """lambda_1 and the all-ones vector projected onto its eigenspace, found
     iteratively one connected component at a time.
 
@@ -277,9 +263,10 @@ def _principal_by_component(adj: LevelAdjacency) -> tuple[float, np.ndarray]:
     visited by descending largest degree until none can reach lambda_1.  A
     level without adjacencies has lambda_1 = 0 and returns the zero vector.
     """
+    adj = combined_adjacency(c, k)
     if adj.mat.nnz == 0:
         return 0.0, np.zeros(adj.n)
-    labels = components_of(adj).labels
+    labels = connected_components(c, k).labels
     mat = adj.mat.astype(np.float64)
     reach = np.zeros(labels.max() + 1)
     np.maximum.at(reach, labels, adj.degrees())
@@ -313,7 +300,7 @@ def katz(c: CliqueComplex, k: int, alpha: float | None = None) -> CentralityVect
     """
     adj = combined_adjacency(c, k)
     n = adj.n
-    lam = _principal_by_component(adj)[0]
+    lam = _principal_by_component(c, k)[0]
     if alpha is None:
         alpha = 0.5 / lam if lam > 0 else 0.5
     if alpha <= 0 or (lam > 0 and alpha >= 1.0 / lam):
@@ -347,7 +334,7 @@ def eigenvector_centrality(c: CliqueComplex, k: int) -> CentralityVector:
     adj = combined_adjacency(c, k)
     if adj.mat.nnz == 0:
         raise ValueError("no principal eigenvector at this level (lambda_1 = 0)")
-    lam, vec = _principal_by_component(adj)
+    lam, vec = _principal_by_component(c, k)
     vec = np.where(np.abs(vec) < 1e-14, 0.0, vec)
     vec = vec / np.linalg.norm(vec)
     return CentralityVector(k, "eigenvector", vec, params={"lambda1": lam})

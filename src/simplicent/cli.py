@@ -94,12 +94,21 @@ class RunConfig:
         return meta
 
 
+def _names(text: str) -> list[str]:
+    """The parts of a comma-separated list option, empty parts skipped.  An
+    empty list is refused here, so argparse exits 2 naming the option."""
+    parts = [part for part in text.split(",") if part != ""]
+    if not parts:
+        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+    return parts
+
+
 def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part != ""]
+    return list(map(int, _names(text)))
 
 
 def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+    return list(map(float, _names(text)))
 
 
 def _fmt(value) -> str:
@@ -221,8 +230,10 @@ def _cmd_distance(cfg: RunConfig) -> int:
     eccentricities = []
     for k in cfg.levels:
         summary = level_summary(c, k)
-        sizes = "+".join(str(s) for s in sorted(summary.component_sizes, reverse=True))
-        lks = ";".join(_fmt(v) for v in summary.avg_path_lengths)
+        # largest component first; sorted() is stable, so equal sizes keep their label order
+        by_size = sorted(zip(summary.component_sizes, summary.avg_path_lengths), key=lambda comp: -comp[0])
+        sizes = "+".join(str(size) for size, _ in by_size)
+        lks = ";".join(_fmt(avg) for _, avg in by_size)
         print(
             f"level {k}: {summary.n} simplices, {len(summary.component_sizes)} components "
             f"[{sizes}], diameter {_fmt(summary.diameter)}, avg path length per component [{lks}]"
@@ -237,9 +248,9 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
         levels = ",".join(str(k) for k in cfg.levels)
         raise ValueError(f"fit-degree fits one level per run; got --level {levels}")
     c = _load_complex(cfg)
-    k = cfg.levels[0] if cfg.levels else 0
+    k = cfg.levels[0]
     dist = degree_distribution(c, k)
-    fits = fit_all(dist.sample, tuple(cfg.families) if cfg.families else FAMILIES)
+    fits = fit_all(dist.sample, tuple(cfg.families))
     selection = select_model(fits)
     delta_aic = {f.family: d for f, d in zip(selection.ranked, selection.delta_aic)}
     rows = []
@@ -296,7 +307,7 @@ def _cmd_essential(cfg: RunConfig) -> int:
     if not cfg.annotations:
         raise ValueError("--annotations is required for the essential command")
     flags = read_annotations(cfg.annotations).flags_for(c.graph)
-    grid = tuple(cfg.grid) if cfg.grid else DEFAULT_GRID
+    grid = tuple(cfg.grid)
     _check_dense_limit(c, cfg)
     rows = []
     for k in cfg.levels:
@@ -374,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--level", type=_ints, default=[0, 1, 2],
                    help="comma-separated levels (default 0,1,2)")
-    p.add_argument("--measure", type=str, default="degree,closeness,subgraph",
+    p.add_argument("--measure", type=_names, default="degree,closeness,subgraph",
                    help=f"comma-separated measures from: {','.join(MEASURES)}")
     p.add_argument("--alpha", type=float, default=None, help="Katz damping (default 0.5/lambda1)")
     p.add_argument("--unnormalized", action="store_true",
@@ -387,18 +398,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-degree", help="fit degree distributions and select a model")
     _add_common(p)
     p.add_argument("--level", type=_ints, default=[0])
-    p.add_argument("--families", type=str, default=",".join(FAMILIES))
+    p.add_argument("--families", type=_names, default=",".join(FAMILIES))
 
     p = sub.add_parser("correlate", help="Spearman correlations between rankings")
     _add_common(p)
     p.add_argument("--level", type=_ints, default=[0, 1, 2])
-    p.add_argument("--measure", type=str, default="degree,subgraph,closeness")
+    p.add_argument("--measure", type=_names, default="degree,subgraph,closeness")
 
     p = sub.add_parser("essential", help="essential-node detection curves")
     _add_common(p)
     p.add_argument("--annotations", required=True, help="file of 'label 0|1' lines")
     p.add_argument("--level", type=_ints, default=[0, 1, 2])
-    p.add_argument("--measure", type=str, default="degree,closeness,subgraph")
+    p.add_argument("--measure", type=_names, default="degree,closeness,subgraph")
     p.add_argument("--grid", type=_floats, default=list(DEFAULT_GRID),
                    help="top-percentage grid (default 1,3,5,10,15,20,25)")
     p.add_argument("--seed", type=int, default=0)
@@ -415,7 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    measures = getattr(args, "measure", "")
     cfg = RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
@@ -423,8 +433,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         format=getattr(args, "format", "csv"),
         max_level=getattr(args, "max_level", 3),
         levels=list(getattr(args, "level", [])),
-        measures=[m for m in measures.split(",") if m] if isinstance(measures, str) else [],
-        families=[f for f in getattr(args, "families", "").split(",") if f],
+        measures=list(getattr(args, "measure", [])),
+        families=list(getattr(args, "families", [])),
         alpha=getattr(args, "alpha", None),
         normalized=not getattr(args, "unnormalized", False),
         seed=getattr(args, "seed", 0),

@@ -30,9 +30,8 @@ class Graph:
     the mapping back to the original identifiers (protein names, numbers in a
     figure, ...).  ``edge_array`` holds the edges as a read-only m x 2 int64
     array, one ``(u, v)`` row with ``u < v`` per edge, rows sorted; ``edges``
-    gives the same pairs as tuples.  Neighbour sets are built on first use.
-    Self-loops and duplicate edges are rejected here; lenient cleaning
-    belongs to the edge-list readers.
+    gives the same pairs as tuples.  Self-loops and duplicate edges are
+    rejected here; lenient cleaning belongs to the edge-list readers.
     """
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]] | np.ndarray):
@@ -59,7 +58,6 @@ class Graph:
             raise ValueError(f"duplicate edge {tuple(ends[dup[0]].tolist())}")
         ends.flags.writeable = False
         self.edge_array = ends
-        self._adj: list[set[int]] | None = None
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -73,18 +71,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edge_array)
-
-    def neighbors(self, i: int) -> set[int]:
-        if self._adj is None:
-            adj: list[set[int]] = [set() for _ in range(self.n)]
-            for u, v in self.edge_array.tolist():
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return self._adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self.neighbors(i))
 
     def index_of(self, label: str) -> int:
         try:
@@ -185,7 +171,7 @@ class CliqueComplex:
         self.levels = levels
         self._keys: dict[int, np.ndarray] = {}
         self._boundary: dict[int, sparse.csr_matrix] = {}
-        self._combined: dict[int, sparse.csr_matrix] = {}  # filled by adjacency.combined_adjacency
+        self._combined: dict[int, object] = {}  # LevelAdjacency, filled by adjacency.combined_adjacency
         self._distances: dict[int, tuple] = {}  # filled by paths._level_distances
         self._spectrum = None  # one level at a time, filled by centrality.spectral_decomposition
 
@@ -227,12 +213,9 @@ class CliqueComplex:
             self._boundary[k] = sparse.csc_matrix((np.ones_like(rows), rows, indptr), shape=shape).tocsr()
         return self._boundary[k]
 
-    def simplex_label(self, k: int, sid: int) -> str:
-        """Render a simplex with the original node labels, comma-joined."""
-        return ",".join([self.graph.labels[v] for v in self.levels[k][sid].tolist()])
-
     def simplex_labels(self, k: int) -> list[str]:
-        """:meth:`simplex_label` of every simplex at level k, in ID order."""
+        """Every simplex at level k rendered with the original node labels,
+        comma-joined, in ID order."""
         self._check_level(k)
         names = np.array(self.graph.labels, dtype=object)
         return list(map(",".join, zip(*(names[column].tolist() for column in self.levels[k].T))))

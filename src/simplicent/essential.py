@@ -180,10 +180,3 @@ def random_baseline(
     counts = count_sum / repetitions
     percentages = 100.0 * counts / sizes
     return DetectionCurve("random", tuple(grid), sizes, counts, percentages)
-
-
-def top_overlap(r1: np.ndarray, r2: np.ndarray, m: int) -> int:
-    """Size of the intersection of the two rankings' top-m prefixes."""
-    if m > len(r1) or m > len(r2):
-        raise ValueError("cutoff exceeds ranking length")
-    return len(set(np.asarray(r1)[:m].tolist()) & set(np.asarray(r2)[:m].tolist()))

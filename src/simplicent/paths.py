@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 from scipy.sparse import csgraph
 
-from .adjacency import LevelAdjacency, combined_adjacency
+from .adjacency import combined_adjacency
 from .complexes import CliqueComplex
 
 DEFAULT_MATRIX_LIMIT = 20_000
@@ -93,18 +93,6 @@ def pair_dependencies(mat) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class DistanceMatrix:
-    """All-pairs level-k distances (float64; inf across components)."""
-
-    level: int
-    dist: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.dist.shape[0]
-
-
-@dataclass(eq=False)
 class ComponentLabeling:
     """Connected components of the level-k simplices."""
 
@@ -117,9 +105,10 @@ class ComponentLabeling:
         return len(self.sizes)
 
 
-def shortest_distances(c: CliqueComplex, k: int, max_size: int = DEFAULT_MATRIX_LIMIT) -> DistanceMatrix:
-    """Materialize the full level-k distance matrix (guarded by ``max_size``;
-    :func:`level_summary` streams the summaries of very large levels)."""
+def shortest_distances(c: CliqueComplex, k: int, max_size: int = DEFAULT_MATRIX_LIMIT) -> np.ndarray:
+    """The full level-k distance matrix, float64 with inf across components
+    (guarded by ``max_size``; :func:`level_summary` streams the summaries of
+    very large levels)."""
     adj = combined_adjacency(c, k)
     n = adj.n
     if n > max_size:
@@ -131,20 +120,15 @@ def shortest_distances(c: CliqueComplex, k: int, max_size: int = DEFAULT_MATRIX_
     dist = np.empty((n, n))
     for block, rows in distance_blocks(adj.mat):
         dist[block] = rows
-    return DistanceMatrix(k, dist)
+    return dist
 
 
 def connected_components(c: CliqueComplex, k: int) -> ComponentLabeling:
-    """Partition the k-simplices into maximal sets at finite mutual distance."""
-    adj = combined_adjacency(c, k)
-    return components_of(adj)
-
-
-def components_of(adj: LevelAdjacency) -> ComponentLabeling:
-    """Component labels numbered in order of each component's lowest ID, the
-    order in which ``csgraph`` meets them."""
-    count, labels = csgraph.connected_components(adj.mat, directed=False)
-    return ComponentLabeling(adj.level, labels.astype(np.int64), np.bincount(labels, minlength=count).tolist())
+    """Partition the k-simplices into maximal sets at finite mutual distance,
+    numbered in order of each component's lowest ID, the order in which
+    ``csgraph`` meets them."""
+    count, labels = csgraph.connected_components(combined_adjacency(c, k).mat, directed=False)
+    return ComponentLabeling(k, labels.astype(np.int64), np.bincount(labels, minlength=count).tolist())
 
 
 @dataclass(eq=False)
@@ -168,7 +152,7 @@ def _level_distances(c: CliqueComplex, k: int) -> tuple[ComponentLabeling, np.nd
     cached = c._distances.get(k)
     if cached is None:
         adj = combined_adjacency(c, k)
-        labeling = components_of(adj)
+        labeling = connected_components(c, k)
         ecc, farness, harmonic = np.zeros(adj.n), np.zeros(adj.n), np.zeros(adj.n)
         for block, rows in distance_blocks(adj.mat):
             harmonic[block] = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0).sum(axis=1)

@@ -1,7 +1,9 @@
 """Independent brute-force reference implementations used as test oracles.
 
 Everything here works straight from the definitions with itertools and
-Fractions, deliberately sharing no code path with the library.
+Fractions, deliberately sharing no code path with the library; only
+:func:`walk_count` starts from the library's combined adjacency, to check the
+spectral measures against plain matrix powers of it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from simplicent import EdgeListReport, Graph, build_clique_complex
+from simplicent import EdgeListReport, Graph, build_clique_complex, combined_adjacency
 
 
 def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
@@ -105,13 +107,29 @@ def random_growth_complex(l: int, k: int, rng: np.random.Generator):
     return build_clique_complex(graph, k + 1)
 
 
+def neighbour_sets(graph: Graph) -> list[set[int]]:
+    """Each node's neighbours, read off the graph's edge pairs."""
+    nbrs: list[set[int]] = [set() for _ in range(graph.n)]
+    for u, v in graph.edge_array.tolist():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 def brute_cliques(graph: Graph, size: int) -> list[tuple[int, ...]]:
     """All cliques of a given vertex count, by testing every combination."""
+    nbrs = neighbour_sets(graph)
     return [
         combo
         for combo in itertools.combinations(range(graph.n), size)
-        if all(b in graph.neighbors(a) for a, b in itertools.combinations(combo, 2))
+        if all(b in nbrs[a] for a, b in itertools.combinations(combo, 2))
     ]
+
+
+def walk_count(c, k: int, m: int) -> np.ndarray:
+    """Number of length-m walks between every pair of k-simplices: the m-th
+    power of the combined adjacency, in exact int64 arithmetic."""
+    return np.linalg.matrix_power(combined_adjacency(c, k).mat.toarray().astype(np.int64), m)
 
 
 def brute_adjacency(graph: Graph, k: int, kind: str) -> tuple[list[tuple[int, ...]], np.ndarray]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import sid
-from oracles import brute_adjacency, er_blocks_graph, er_graph
+from oracles import brute_adjacency, er_blocks_graph, er_graph, neighbour_sets
 from simplicent import (
     MEASURES,
     Graph,
@@ -26,31 +26,28 @@ from simplicent import (
     level_summary,
     lower_adjacency,
     shortest_distances,
-    simplex_degree,
     simplex_degrees,
-    underlying_network,
     upper_adjacency,
-    write_matrix,
 )
 
 
 class TestNineNodeExample:
     def test_lower_level1(self, fig):
         low = lower_adjacency(fig, 1)
-        assert low.entry(sid(fig, 1, "67"), sid(fig, 1, "69")) == 1
+        assert low.mat[sid(fig, 1, "67"), sid(fig, 1, "69")] == 1
 
     def test_lower_level2(self, fig):
         low = lower_adjacency(fig, 2)
-        assert low.entry(sid(fig, 2, "456"), sid(fig, 2, "678")) == 0
-        assert low.entry(sid(fig, 2, "134"), sid(fig, 2, "345")) == 1
+        assert low.mat[sid(fig, 2, "456"), sid(fig, 2, "678")] == 0
+        assert low.mat[sid(fig, 2, "134"), sid(fig, 2, "345")] == 1
 
     def test_upper_level1(self, fig):
         up = upper_adjacency(fig, 1)
-        assert up.entry(sid(fig, 1, "56"), sid(fig, 1, "46")) == 1
+        assert up.mat[sid(fig, 1, "56"), sid(fig, 1, "46")] == 1
 
     def test_upper_level2(self, fig):
         up = upper_adjacency(fig, 2)
-        assert up.entry(sid(fig, 2, "134"), sid(fig, 2, "234")) == 1
+        assert up.mat[sid(fig, 2, "134"), sid(fig, 2, "234")] == 1
         assert up.mat[sid(fig, 2, "456")].sum() == 0
 
     def test_combined_isolated_edges(self, fig):
@@ -60,7 +57,7 @@ class TestNineNodeExample:
 
     def test_combined_lower_but_upper(self, fig):
         comb = combined_adjacency(fig, 2)
-        assert comb.entry(sid(fig, 2, "123"), sid(fig, 2, "134")) == 0
+        assert comb.mat[sid(fig, 2, "123"), sid(fig, 2, "134")] == 0
 
     def test_combined_level0_is_graph_adjacency(self, fig, fig_graph):
         comb = combined_adjacency(fig, 0)
@@ -70,26 +67,26 @@ class TestNineNodeExample:
         assert (comb.mat.toarray() == expected).all()
 
     def test_edge_degree_example(self, fig, fig_graph):
-        comb = combined_adjacency(fig, 1)
         e67 = sid(fig, 1, "67")
-        assert simplex_degree(comb, e67) == 3
+        assert simplex_degrees(fig, 1)[e67] == 3
         p, q = fig_graph.index_of("6"), fig_graph.index_of("7")
+        nbrs = neighbour_sets(fig_graph)
         t = sum(1 for tri in fig.simplices(2) if p in tri and q in tri)
-        assert simplex_degree(comb, e67) == fig_graph.degree(p) + fig_graph.degree(q) - 2 - 2 * t
+        assert simplex_degrees(fig, 1)[e67] == len(nbrs[p]) + len(nbrs[q]) - 2 - 2 * t
 
     def test_triangle_degree_example(self, fig):
-        comb = combined_adjacency(fig, 2)
-        assert simplex_degree(comb, sid(fig, 2, "345")) == 3
+        assert simplex_degrees(fig, 2)[sid(fig, 2, "345")] == 3
 
     def test_interaction_count_level0(self, fig):
         assert interaction_count(combined_adjacency(fig, 0)) == 14
 
     def test_underlying_network_level2_components(self, fig):
-        net = underlying_network(combined_adjacency(fig, 2))
+        comb = combined_adjacency(fig, 2)
+        labels = fig.simplex_labels(2)
         connected = {"1,3,4", "2,3,4", "3,4,5", "4,5,6"}
-        for u, v in net.edges:
-            assert net.labels[u] in connected and net.labels[v] in connected
-        isolated = [lab for i, lab in enumerate(net.labels) if net.degree(i) == 0]
+        for u, v in zip(*comb.mat.nonzero()):
+            assert labels[u] in connected and labels[v] in connected
+        isolated = [lab for lab, degree in zip(labels, comb.degrees()) if degree == 0]
         assert sorted(isolated) == ["1,2,3", "1,2,4", "6,7,8"]
 
 
@@ -99,14 +96,13 @@ class TestFamilies:
         c = generate_S(l, k)
         comb = combined_adjacency(c, k)
         assert (comb.degrees() == l - 1).all()
-        net = underlying_network(comb)
-        assert net.m == l * (l - 1) // 2
+        assert interaction_count(comb) == l * (l - 1) // 2
 
     @pytest.mark.parametrize("l,k", [(2, 2), (6, 1), (5, 3)])
     def test_p_family_path_underlying(self, l, k):
-        net = underlying_network(combined_adjacency(generate_P(l, k), k))
-        assert net.n == l and net.m == l - 1
-        assert sorted(net.degree(i) for i in range(l)) == [1, 1] + [2] * (l - 2)
+        comb = combined_adjacency(generate_P(l, k), k)
+        assert comb.n == l and interaction_count(comb) == l - 1
+        assert sorted(comb.degrees()) == [1, 1] + [2] * (l - 2)
 
     def test_star_level_drops_the_diagonal_in_place(self):
         # level 1 of the 5000-leaf star is K_5000: the lower product stores
@@ -138,37 +134,17 @@ class TestContracts:
         c = build_clique_complex(fig_graph, 5)
         assert interaction_count(combined_adjacency(c, 4)) == 0
 
-    def test_simplex_degree_requires_combined(self, fig):
-        with pytest.raises(ValueError, match="combined"):
-            simplex_degree(lower_adjacency(fig, 1), 0)
-
-    def test_export_matches_matrix(self, fig, tmp_path):
-        comb = combined_adjacency(fig, 1)
-        coords = tmp_path / "adj.txt"
-        sidecar = tmp_path / "ids.txt"
-        write_matrix(comb, str(coords), str(sidecar))
-        pairs = [
-            tuple(map(int, line.split()))
-            for line in coords.read_text().splitlines()
-            if not line.startswith("#")
-        ]
-        dense = comb.mat.toarray()
-        assert len(pairs) == interaction_count(comb)
-        for i, j in pairs:
-            assert i < j and dense[i, j] == 1
-        names = [
-            line.split("\t")[1]
-            for line in sidecar.read_text().splitlines()
-            if not line.startswith("#")
-        ]
-        assert names == [fig.simplex_label(1, s) for s in range(comb.n)]
-
 
 class TestCache:
     def test_second_call_returns_same_matrix(self):
         c = example_complex(3)
         for k in range(3):
             assert combined_adjacency(c, k).mat is combined_adjacency(c, k).mat
+
+    def test_second_call_returns_same_adjacency(self):
+        c = example_complex(3)
+        for k in range(3):
+            assert combined_adjacency(c, k) is combined_adjacency(c, k)
 
     def test_callers_leave_cached_matrix_unchanged(self):
         c = example_complex(3)
@@ -244,9 +220,10 @@ def test_edge_degree_identity_and_handshake(seed):
     comb = combined_adjacency(c, 1)
     degrees = comb.degrees()
     triangles = c.simplices(2)
+    nbrs = neighbour_sets(g)
     for eid, (p, q) in enumerate(c.simplices(1)):
         t = sum(1 for tri in triangles if p in tri and q in tri)
-        assert degrees[eid] == g.degree(p) + g.degree(q) - 2 - 2 * t
+        assert degrees[eid] == len(nbrs[p]) + len(nbrs[q]) - 2 - 2 * t
     assert degrees.sum() == 2 * interaction_count(comb)
 
 

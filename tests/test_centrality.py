@@ -17,6 +17,7 @@ from oracles import (
     er_blocks_graph,
     er_graph,
     random_growth_complex,
+    walk_count,
 )
 from simplicent import NonConvergenceError, centrality, paths
 from simplicent import (
@@ -37,7 +38,6 @@ from simplicent import (
     katz,
     spectral_decomposition,
     subgraph_centrality,
-    walk_count,
 )
 
 

@@ -227,6 +227,14 @@ class TestDistance:
         assert "avg path length per component [2]" in out
         assert "diameter 4" in out
 
+    def test_component_sizes_pair_with_their_path_lengths(self, tmp_path, capsys):
+        # components in label order: {1,2} alone, then {1,3}, {2,3}, {3,4}
+        edge_file = tmp_path / "pendant.txt"
+        edge_file.write_text("1 2\n1 3\n2 3\n3 4\n")
+        assert main(["distance", str(edge_file), "--level", "1", "-o", str(tmp_path / "d.csv")]) == 0
+        out = capsys.readouterr().out
+        assert "2 components [3+1], diameter 2, avg path length per component [1.33333333333;NA]" in out
+
     def test_every_exit_0_eccentricity_is_finite(self, small_file, tmp_path):
         ran = 0
         for k in range(3):
@@ -368,6 +376,27 @@ def test_repeated_value_exits_2_naming_it(fig_file, tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["centrality", "--level", ""], "--level"),
+    (["distance", "--level", ","], "--level"),
+    (["fit-degree", "--level", ""], "--level"),
+    (["centrality", "--measure", ""], "--measure"),
+    (["correlate", "--measure", ""], "--measure"),
+    (["fit-degree", "--families", ""], "--families"),
+    (["essential", "--annotations", "ann.txt", "--grid", ""], "--grid"),
+], ids=["centrality-level", "distance-level", "fit-degree-level", "centrality-measure", "correlate-measure",
+        "families", "grid"])
+def test_empty_list_exits_2_naming_it(fig_file, tmp_path, capsys, argv, option):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], fig_file, *argv[1:], "-o", str(out)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}: expected at least one comma-separated value" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_metadata_lines_echo_config(fig_file, tmp_path):
     out = tmp_path / "m.csv"
     assert main(["build", fig_file, "-o", str(out), "--threads", "2"]) == 0
@@ -463,8 +492,8 @@ class TestColumnOutput:
         rows, it = [], iter(vectors)
         for k in (0, 1, 2):
             level = [next(it) for _ in measures]
-            for sid in range(c.n_simplices(k)):
-                rows.append([k, sid, c.simplex_label(k, sid)] + [float(vec.scores[sid]) for vec in level])
+            for sid, label in enumerate(c.simplex_labels(k)):
+                rows.append([k, sid, label] + [float(vec.scores[sid]) for vec in level])
         want = _row_oracle(argv, ["level", "id", "vertices"] + measures, rows)
         assert out.read_bytes() == want.encode("utf-8")
         if fmt == "csv":  # the oracle saw every awkward label and cell
@@ -487,9 +516,9 @@ class TestColumnOutput:
         assert main(argv) == 0
         c = build_clique_complex(read_edge_list(labeled_file), 3)
         rows = [
-            [s.level, sid, c.simplex_label(s.level, sid), float(s.eccentricities[sid])]
+            [s.level, sid, label, float(s.eccentricities[sid])]
             for s in summaries
-            for sid in range(s.n)
+            for sid, label in enumerate(c.simplex_labels(s.level))
         ]
         want = _row_oracle(argv, ["level", "id", "vertices", "eccentricity"], rows)
         assert capsys.readouterr().out.endswith(want)

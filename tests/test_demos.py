@@ -9,6 +9,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the warnings that the suite's filterwarnings (pyproject.toml) turns into errors
+WARNINGS_AS_ERRORS = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+                      "-W", "error::PendingDeprecationWarning"]
 
 
 def test_demos_found():
@@ -18,7 +21,7 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout.strip()

@@ -17,7 +17,6 @@ from simplicent import (
     random_baseline,
     rank_nodes,
     read_annotations,
-    top_overlap,
 )
 
 
@@ -169,21 +168,6 @@ class TestRandomBaseline:
     def test_repetitions_validated(self):
         with pytest.raises(ValueError):
             random_baseline(10, np.zeros(10, dtype=bool), (10.0,), seed=0, repetitions=0)
-
-
-class TestTopOverlap:
-    def test_identical_rankings(self):
-        r = np.arange(30)
-        assert top_overlap(r, r, 10) == 10
-
-    def test_disjoint_prefixes(self):
-        r1 = np.arange(20)
-        r2 = np.concatenate([np.arange(10, 20), np.arange(10)])
-        assert top_overlap(r1, r2, 10) == 0
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            top_overlap(np.arange(5), np.arange(5), 6)
 
 
 class TestAnnotations:

@@ -28,16 +28,16 @@ from simplicent import (
 class TestNineNodeExample:
     def test_triangle_distance(self, fig):
         d = shortest_distances(fig, 2)
-        assert d.dist[sid(fig, 2, "134"), sid(fig, 2, "234")] == 2
+        assert d[sid(fig, 2, "134"), sid(fig, 2, "234")] == 2
 
     def test_edge_distance(self, fig):
         d = shortest_distances(fig, 1)
-        assert d.dist[sid(fig, 1, "24"), sid(fig, 1, "67")] == 2
+        assert d[sid(fig, 1, "24"), sid(fig, 1, "67")] == 2
 
     def test_self_distance_zero(self, fig):
         for k in range(3):
             d = shortest_distances(fig, k)
-            assert (np.diag(d.dist) == 0).all()
+            assert (np.diag(d) == 0).all()
 
     def test_component_structure(self, fig):
         assert connected_components(fig, 0).n_components == 1
@@ -95,7 +95,7 @@ class TestAveragePathLength:
     @pytest.mark.parametrize("l,k", [(2, 2), (4, 1), (7, 2), (10, 3)])
     def test_p_family_attains_upper_bound_exactly(self, l, k):
         d = shortest_distances(generate_P(l, k), k)
-        total = int(d.dist.sum())  # both orientations
+        total = int(d.sum())  # both orientations
         assert Fraction(total, l * (l - 1)) == Fraction(l + 1, 3)
 
     def test_two_adjacent_simplices(self):
@@ -116,7 +116,7 @@ def test_distance_one_iff_adjacent(fig):
     for k in range(3):
         d = shortest_distances(fig, k)
         adj = combined_adjacency(fig, k).mat.toarray()
-        assert ((d.dist == 1) == (adj == 1)).all()
+        assert ((d == 1) == (adj == 1)).all()
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -127,7 +127,7 @@ def test_metric_axioms_and_brute_force_agreement(seed):
     for k in range(3):
         if c.n_simplices(k) == 0:
             continue
-        d = shortest_distances(c, k).dist
+        d = shortest_distances(c, k)
         assert (d == d.T).all()
         assert ((d == 0) == np.eye(d.shape[0], dtype=bool)).all()
         reference = floyd_warshall(combined_adjacency(c, k).mat.toarray())
@@ -163,7 +163,7 @@ def test_block_kernel_matches_floyd_warshall(seed, monkeypatch):
         monkeypatch.setattr(paths, "BLOCK_SIZE", size)
         c = build_clique_complex(graph, 5)  # fresh, or the distance pass cached at one size serves the next
         levels = range(c.max_level)
-        runs.append([(shortest_distances(c, k).dist, level_summary(c, k), connected_components(c, k)) for k in levels])
+        runs.append([(shortest_distances(c, k), level_summary(c, k), connected_components(c, k)) for k in levels])
     assert any(c.n_simplices(k) == 0 for k in levels)
     assert connected_components(c, 0).sizes.count(1) >= 2  # isolated simplices among other components
     for k in levels:
