@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Commands: build | centrality | distance | fit-degree | correlate |
-essential | generate.  Exit codes: 0 success, 2 input error, 3 numeric
+essential | generate.  Each command takes only the options it reads, and its
+tables carry the options it accepted; ``generate`` writes a plain edge list.
+Exit codes: 0 success, 2 input error (argparse's refusals too), 3 numeric
 non-convergence, 4 insufficient complex depth.
 """
 
@@ -14,7 +16,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -45,80 +46,45 @@ from .stats import FAMILIES, correlation_table, degree_distribution, fit_all, se
 LEVEL_NAMES = {0: "nodes", 1: "edges", 2: "triangles", 3: "tetrahedra"}
 
 
-@dataclass
-class RunConfig:
-    """Validated run options, echoed verbatim into output metadata."""
+# Option types.  Each refuses a bad value with ArgumentTypeError, so argparse
+# exits 2 with a message that names the option.
 
-    command: str
-    input: str | None = None
-    output: str | None = None
-    format: str = "csv"
-    max_level: int = 3
-    levels: list[int] = field(default_factory=list)
-    measures: list[str] = field(default_factory=list)
-    families: list[str] = field(default_factory=list)
-    alpha: float | None = None
-    normalized: bool = True
-    seed: int = 0
-    repetitions: int = 100
-    grid: list[float] = field(default_factory=list)
-    annotations: str | None = None
-    dense_limit: int = DEFAULT_DENSE_LIMIT
-
-    def validate(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown format {self.format!r}")
-        if self.max_level < 0:
-            raise ValueError("max-level must be >= 0")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        for x in self.grid:
-            if not 0 < x <= 100:
-                raise ValueError(f"grid percentage {x} outside (0, 100]")
-        for m in self.measures:
-            if m not in MEASURES:
-                raise ValueError(f"unknown measure {m!r}; known: {', '.join(MEASURES)}")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ValueError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
-        for option, values in (("--level", self.levels), ("--measure", self.measures), ("--families", self.families)):
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ValueError(f"{option} lists {repeated[0]!r} more than once")
-
-    def metadata(self) -> dict:
-        meta = {k: v for k, v in asdict(self).items() if v is not None}
-        meta["version"] = __version__
-        return meta
+def _checked(convert, ok, rule: str):
+    """The type of an option whose converted value must satisfy ``ok``."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{value} is not {rule}")
+        return value
+    parse.__name__ = convert.__name__  # so argparse still says "invalid int value: 'x'"
+    return parse
 
 
-def _names(text: str) -> list[str]:
-    """The parts of a comma-separated list option, empty parts skipped.  An
-    empty list is refused here, so argparse exits 2 naming the option."""
-    parts = [part for part in text.split(",") if part != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError("expected at least one comma-separated value")
-    return parts
+def _comma_list(convert=str, known: tuple[str, ...] = (), distinct: bool = True):
+    """The type of a comma-separated list option: the parts, empty ones
+    skipped, each converted and, when ``known`` is given, one of those.  An
+    empty list is refused, and so is a repeated value when ``distinct``."""
+    def parse(text: str) -> list:
+        values = [convert(part) for part in text.split(",") if part != ""]
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one comma-separated value")
+        for i, v in enumerate(values):
+            if known and v not in known:
+                raise argparse.ArgumentTypeError(f"unknown value {v!r}; known: {', '.join(known)}")
+            if distinct and v in values[:i]:
+                raise argparse.ArgumentTypeError(f"lists {v!r} more than once")
+        return values
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _ints(text: str) -> list[int]:
-    return list(map(int, _names(text)))
-
-
-def _floats(text: str) -> list[float]:
-    return list(map(float, _names(text)))
+_level = _checked(int, lambda k: k >= 0, ">= 0")  # a --level entry, or --max-level
 
 
 def _fmt(value) -> str:
-    if value is None:
+    if value is None or isinstance(value, float) and math.isnan(value):
         return "NA"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "NA"
-        if math.isinf(value):
-            return "inf"
         return format(value, ".12g")
     return str(value)
 
@@ -131,8 +97,8 @@ def _cells(column) -> list[str]:
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     cells = list(map(format, column.tolist(), itertools.repeat(".12g")))
-    for i in np.flatnonzero(np.isnan(column) | np.isneginf(column)).tolist():
-        cells[i] = "NA" if math.isnan(column[i]) else "inf"
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = "NA"
     return cells
 
 
@@ -141,13 +107,21 @@ def _json_values(column) -> list:
     return [None if isinstance(v, float) and math.isnan(v) else v for v in values]
 
 
-def _emit(cfg: RunConfig, header: list[str], columns: list) -> None:
+def _metadata(args: argparse.Namespace) -> dict:
+    """The options the command accepted, as parsed, and the library version.
+    Unset options and the ignored ``--threads`` are left out."""
+    meta = {k: v for k, v in vars(args).items() if v is not None and k not in ("run", "threads")}
+    meta["version"] = __version__
+    return meta
+
+
+def _emit(args: argparse.Namespace, header: list[str], columns: list) -> None:
     """Write equal-length columns, each a list or a numpy array, as CSV rows
     ('#'-prefixed metadata lines) or JSON, to the output path or stdout.
     UTF-8, newline-terminated, '.' decimal."""
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
-            "metadata": cfg.metadata(),
+            "metadata": _metadata(args),
             "columns": header,
             "rows": list(zip(*map(_json_values, columns))),
         }
@@ -155,13 +129,13 @@ def _emit(cfg: RunConfig, header: list[str], columns: list) -> None:
     else:
         buf = io.StringIO()
         buf.write(f"# simplicent {__version__}\n")
-        buf.write(f"# config: {json.dumps(cfg.metadata(), sort_keys=True)}\n")
+        buf.write(f"# config: {json.dumps(_metadata(args), sort_keys=True)}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(zip(*map(_cells, columns)))
         text = buf.getvalue()
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -180,55 +154,56 @@ def _simplex_columns(c: CliqueComplex, levels: list[int], scores: list[list[np.n
     ]
 
 
-def _load_complex(cfg: RunConfig) -> CliqueComplex:
-    if not cfg.input:
-        raise ValueError("an input edge-list file is required")
-    with open(cfg.input, "r", encoding="utf-8") as fh:
+def _load_complex(path: str, max_level: int) -> CliqueComplex:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             graph, _ = parse_edge_list(fh)
         except ValueError as exc:
-            raise ValueError(f"{cfg.input}: {exc}") from exc
-    return build_clique_complex(graph, cfg.max_level)
+            raise ValueError(f"{path}: {exc}") from exc
+    return build_clique_complex(graph, max_level)
 
 
-def _check_dense_limit(c: CliqueComplex, cfg: RunConfig) -> None:
+def _check_dense_limit(c: CliqueComplex, args: argparse.Namespace) -> None:
     """Refuse the run before any measure is computed when subgraph
     centrality is requested at a level above ``--dense-limit``."""
-    if "subgraph" in cfg.measures:
-        for k in cfg.levels:
-            covered_simplices(c, k, cfg.dense_limit)
+    if "subgraph" in args.measures:
+        for k in args.levels:
+            covered_simplices(c, k, args.dense_limit)
 
 
 def _level_name(k: int) -> str:
     return LEVEL_NAMES.get(k, f"{k}-simplices")
 
 
-def _cmd_build(cfg: RunConfig) -> int:
+def _cmd_build(args: argparse.Namespace) -> int:
     # one level more than is printed: the top level's interactions need its cofaces
-    c = _load_complex(replace(cfg, max_level=cfg.max_level + 1))
+    c = _load_complex(args.input, args.max_level + 1)
     rows = []
-    for k in range(cfg.max_level + 1):
+    for k in range(args.max_level + 1):
         rows.append([k, _level_name(k), c.n_simplices(k), interaction_count(combined_adjacency(c, k))])
-    _emit(cfg, ["level", "name", "simplices", "interactions"], list(zip(*rows)))
+    _emit(args, ["level", "name", "simplices", "interactions"], list(zip(*rows)))
     return 0
 
 
-def _cmd_centrality(cfg: RunConfig) -> int:
-    c = _load_complex(cfg)
-    _check_dense_limit(c, cfg)
-    scores: list[list[np.ndarray]] = [[] for _ in cfg.measures]
-    for k in cfg.levels:
-        for per_level, m in zip(scores, cfg.measures):
-            vec = compute(c, k, m, normalized=cfg.normalized, alpha=cfg.alpha, dense_limit=cfg.dense_limit)
+def _cmd_centrality(args: argparse.Namespace) -> int:
+    c = _load_complex(args.input, args.max_level)
+    _check_dense_limit(c, args)
+    scores: list[list[np.ndarray]] = [[] for _ in args.measures]
+    for k in args.levels:
+        for per_level, m in zip(scores, args.measures):
+            vec = compute(c, k, m, normalized=args.normalized, alpha=args.alpha, dense_limit=args.dense_limit)
             per_level.append(vec.scores)
-    _emit(cfg, ["level", "id", "vertices"] + list(cfg.measures), _simplex_columns(c, cfg.levels, scores))
+    _emit(args, ["level", "id", "vertices"] + args.measures, _simplex_columns(c, args.levels, scores))
     return 0
 
 
-def _cmd_distance(cfg: RunConfig) -> int:
-    c = _load_complex(cfg)
+def _cmd_distance(args: argparse.Namespace) -> int:
+    c = _load_complex(args.input, args.max_level)
+    for k in args.levels:
+        if c.n_simplices(k) == 0:
+            raise ValueError(f"level {k} has no simplices, so it has no diameter or path lengths")
     eccentricities = []
-    for k in cfg.levels:
+    for k in args.levels:
         summary = level_summary(c, k)
         # largest component first; sorted() is stable, so equal sizes keep their label order
         by_size = sorted(zip(summary.component_sizes, summary.avg_path_lengths), key=lambda comp: -comp[0])
@@ -239,18 +214,18 @@ def _cmd_distance(cfg: RunConfig) -> int:
             f"[{sizes}], diameter {_fmt(summary.diameter)}, avg path length per component [{lks}]"
         )
         eccentricities.append(summary.eccentricities)
-    _emit(cfg, ["level", "id", "vertices", "eccentricity"], _simplex_columns(c, cfg.levels, [eccentricities]))
+    _emit(args, ["level", "id", "vertices", "eccentricity"], _simplex_columns(c, args.levels, [eccentricities]))
     return 0
 
 
-def _cmd_fit_degree(cfg: RunConfig) -> int:
-    if len(cfg.levels) > 1:
-        levels = ",".join(str(k) for k in cfg.levels)
+def _cmd_fit_degree(args: argparse.Namespace) -> int:
+    if len(args.levels) > 1:
+        levels = ",".join(str(k) for k in args.levels)
         raise ValueError(f"fit-degree fits one level per run; got --level {levels}")
-    c = _load_complex(cfg)
-    k = cfg.levels[0]
+    c = _load_complex(args.input, args.max_level)
+    k = args.levels[0]
     dist = degree_distribution(c, k)
-    fits = fit_all(dist.sample, tuple(cfg.families))
+    fits = fit_all(dist.sample, tuple(args.families))
     selection = select_model(fits)
     delta_aic = {f.family: d for f, d in zip(selection.ranked, selection.delta_aic)}
     rows = []
@@ -266,7 +241,7 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
                 "ok" if fit.success else fit.message,
             ]
         )
-    _emit(cfg, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], list(zip(*rows)))
+    _emit(args, ["family", "params", "lnL", "AIC", "BIC", "deltaAIC", "status"], list(zip(*rows)))
     print(f"level {k} ({dist.sample.size} degrees): selection {selection.label} ({selection.verdict})")
     width = max(len(r[0]) for r in rows)
     for row in rows:
@@ -277,14 +252,14 @@ def _cmd_fit_degree(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_correlate(cfg: RunConfig) -> int:
-    c = _load_complex(cfg)
-    _check_dense_limit(c, cfg)
+def _cmd_correlate(args: argparse.Namespace) -> int:
+    c = _load_complex(args.input, args.max_level)
+    _check_dense_limit(c, args)
     table = correlation_table(
         c,
-        measures=tuple(cfg.measures),
-        levels=tuple(cfg.levels),
-        dense_limit=cfg.dense_limit,
+        measures=tuple(args.measures),
+        levels=tuple(args.levels),
+        dense_limit=args.dense_limit,
     )
     undefined = np.argwhere(np.isnan(table.matrix))
     if undefined.size:
@@ -296,36 +271,34 @@ def _cmd_correlate(cfg: RunConfig) -> int:
     rows = [[label, *table.matrix[i].tolist()] for i, label in enumerate(table.labels)]
     for (ka, kb), value in table.averages.items():
         rows.append([f"avg:level{ka}~level{kb}"] + [value] + [math.nan] * (len(table.labels) - 1))
-    _emit(cfg, ["ranking"] + table.labels, list(zip(*rows)))
+    _emit(args, ["ranking"] + table.labels, list(zip(*rows)))
     for (ka, kb), value in table.averages.items():
         print(f"<r_{ka},{kb}> = {_fmt(value)}")
     return 0
 
 
-def _cmd_essential(cfg: RunConfig) -> int:
-    c = _load_complex(cfg)
-    if not cfg.annotations:
-        raise ValueError("--annotations is required for the essential command")
-    flags = read_annotations(cfg.annotations).flags_for(c.graph)
-    grid = tuple(cfg.grid)
-    _check_dense_limit(c, cfg)
+def _cmd_essential(args: argparse.Namespace) -> int:
+    c = _load_complex(args.input, args.max_level)
+    flags = read_annotations(args.annotations).flags_for(c.graph)
+    grid = tuple(args.grid)
+    _check_dense_limit(c, args)
     rows = []
-    for k in cfg.levels:
-        for m in cfg.measures:
-            vec = compute(c, k, m, dense_limit=cfg.dense_limit)
+    for k in args.levels:
+        for m in args.measures:
+            vec = compute(c, k, m, dense_limit=args.dense_limit)
             node_vec = vec if k == 0 else project_to_nodes(c, vec)
             curve = detection_curve(rank_nodes(node_vec), flags, grid, measure=m)
             for x, count, pct in zip(curve.grid, curve.counts, curve.percentages):
                 rows.append([m, k, x, count, pct])
-    baseline = random_baseline(c.graph.n, flags, grid, seed=cfg.seed, repetitions=cfg.repetitions)
+    baseline = random_baseline(c.graph.n, flags, grid, seed=args.seed, repetitions=args.repetitions)
     for x, count, pct in zip(baseline.grid, baseline.counts, baseline.percentages):
         rows.append(["random", None, x, count, pct])
-    _emit(cfg, ["measure", "level", "x", "count", "percentage"], list(zip(*rows)))
+    _emit(args, ["measure", "level", "x", "count", "percentage"], list(zip(*rows)))
     return 0
 
 
-def _cmd_generate(cfg: RunConfig, family: str, params: list[int]) -> int:
-    family = family.upper()
+def _cmd_generate(args: argparse.Namespace) -> int:
+    family, params = args.family, args.params
     if family == "S":
         if len(params) != 2:
             raise ValueError("generate S needs: l k")
@@ -334,40 +307,20 @@ def _cmd_generate(cfg: RunConfig, family: str, params: list[int]) -> int:
         if len(params) != 2:
             raise ValueError("generate P needs: l k")
         c = generate_P(params[0], params[1])
-    elif family == "T":
+    else:
         if len(params) < 2:
             raise ValueError("generate T needs: k x1 .. x_{k+1}")
         c = generate_T(params[0], params[1:])
-    else:
-        raise ValueError(f"unknown family {family!r}; use S, T, or P")
-    header = [
-        f"simplicent {__version__}",
-        f"generated family={family} params={params} seed={cfg.seed}",
-    ]
-    if cfg.output:
-        write_edge_list(c.graph, cfg.output, header=header)
-        print(f"wrote {c.graph.m} edges to {cfg.output}; level counts {c.counts()}")
+    header = [f"simplicent {__version__}", f"generated family={family} params={params}"]
+    if args.output:
+        write_edge_list(c.graph, args.output, header=header)
+        print(f"wrote {c.graph.m} edges to {args.output}; level counts {c.counts()}")
     else:
         for line in header:
             print(f"# {line}")
         for u, v in c.graph.edges:
             print(f"{c.graph.labels[u]} {c.graph.labels[v]}")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument("input", help="edge-list file (two labels per line, '#' comments)")
-        parser.add_argument("--max-level", type=int, default=3, dest="max_level",
-                            help="highest simplex level to materialize (default 3)")
-    parser.add_argument("-o", "--output", help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    # every stage runs in one thread; the option is still parsed, and ignored,
-    # so that existing command lines (perfbench's among them) keep working
-    parser.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    parser.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT, dest="dense_limit",
-                        help="most simplices with a neighbour in one level that the eigendecomposition behind "
-                             f"subgraph centrality may cover; isolated ones score 1 (default {DEFAULT_DENSE_LIMIT})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,94 +331,72 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"simplicent {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build", help="lift an edge list and print per-level counts")
-    _add_common(p)
+    def command(name, run, summary, levels=None, measures=None, dense_limit=False) -> argparse.ArgumentParser:
+        """A subcommand that reads an edge list and writes a CSV/JSON table.
+        It takes ``--level`` and ``--measure`` only when given their defaults,
+        and ``--dense-limit`` only when asked to."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("input", help="edge-list file (two labels per line, '#' comments)")
+        p.add_argument("--max-level", type=_level, default=3,
+                       help="highest simplex level to materialize (default 3)")
+        p.add_argument("-o", "--output", help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        # every stage runs in one thread; the option is still parsed, and ignored,
+        # so that existing command lines (perfbench's among them) keep working
+        p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
+        if levels:
+            p.add_argument("--level", type=_comma_list(_level), default=levels, dest="levels",
+                           help=f"comma-separated levels (default {','.join(map(str, levels))})")
+        if measures:
+            p.add_argument("--measure", type=_comma_list(known=MEASURES), default=measures, dest="measures",
+                           help=f"comma-separated measures from {','.join(MEASURES)} (default {measures})")
+        if dense_limit:
+            p.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT,
+                           help="most simplices with a neighbour in one level that the eigendecomposition behind "
+                                f"subgraph centrality may cover; isolated ones score 1 (default {DEFAULT_DENSE_LIMIT})")
+        return p
 
-    p = sub.add_parser("centrality", help="simplex centralities as CSV/JSON")
-    _add_common(p)
-    p.add_argument("--level", type=_ints, default=[0, 1, 2],
-                   help="comma-separated levels (default 0,1,2)")
-    p.add_argument("--measure", type=_names, default="degree,closeness,subgraph",
-                   help=f"comma-separated measures from: {','.join(MEASURES)}")
-    p.add_argument("--alpha", type=float, default=None, help="Katz damping (default 0.5/lambda1)")
-    p.add_argument("--unnormalized", action="store_true",
+    command("build", _cmd_build, "lift an edge list and print per-level counts")
+
+    p = command("centrality", _cmd_centrality, "simplex centralities as CSV/JSON",
+                [0, 1, 2], "degree,closeness,subgraph", dense_limit=True)
+    p.add_argument("--alpha", type=_checked(float, lambda a: a > 0, "> 0"),
+                   help="Katz damping (default 0.5/lambda1)")
+    p.add_argument("--unnormalized", action="store_false", dest="normalized",
                    help="report raw closeness/betweenness")
 
-    p = sub.add_parser("distance", help="per-level path summaries and eccentricities")
-    _add_common(p)
-    p.add_argument("--level", type=_ints, default=[0, 1, 2])
+    command("distance", _cmd_distance, "per-level path summaries and eccentricities", [0, 1, 2])
 
-    p = sub.add_parser("fit-degree", help="fit degree distributions and select a model")
-    _add_common(p)
-    p.add_argument("--level", type=_ints, default=[0])
-    p.add_argument("--families", type=_names, default=",".join(FAMILIES))
+    p = command("fit-degree", _cmd_fit_degree, "fit degree distributions and select a model", [0])
+    p.add_argument("--families", type=_comma_list(known=FAMILIES), default=",".join(FAMILIES))
 
-    p = sub.add_parser("correlate", help="Spearman correlations between rankings")
-    _add_common(p)
-    p.add_argument("--level", type=_ints, default=[0, 1, 2])
-    p.add_argument("--measure", type=_names, default="degree,subgraph,closeness")
+    command("correlate", _cmd_correlate, "Spearman correlations between rankings",
+            [0, 1, 2], "degree,subgraph,closeness", dense_limit=True)
 
-    p = sub.add_parser("essential", help="essential-node detection curves")
-    _add_common(p)
+    p = command("essential", _cmd_essential, "essential-node detection curves",
+                [0, 1, 2], "degree,closeness,subgraph", dense_limit=True)
     p.add_argument("--annotations", required=True, help="file of 'label 0|1' lines")
-    p.add_argument("--level", type=_ints, default=[0, 1, 2])
-    p.add_argument("--measure", type=_names, default="degree,closeness,subgraph")
-    p.add_argument("--grid", type=_floats, default=list(DEFAULT_GRID),
-                   help="top-percentage grid (default 1,3,5,10,15,20,25)")
+    p.add_argument("--grid", type=_comma_list(_checked(float, lambda x: 0 < x <= 100, "in (0, 100]"), distinct=False),
+                   default=list(DEFAULT_GRID), help="top-percentage grid (default 1,3,5,10,15,20,25)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repetitions", type=int, default=100)
+    p.add_argument("--repetitions", type=_checked(int, lambda r: r >= 1, ">= 1"), default=100)
 
-    p = sub.add_parser("generate", help="emit an edge list for a synthetic family")
-    p.add_argument("family", help="S | T | P")
-    p.add_argument("params", type=int, nargs="+",
-                   help="S: l k | T: k x1..x_{k+1} | P: l k")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, with_input=False)
-
+    p = sub.add_parser("generate", help="write a plain edge list for a synthetic family")
+    p.set_defaults(run=_cmd_generate)
+    p.add_argument("family", type=str.upper, choices=("S", "T", "P"))
+    p.add_argument("params", type=int, nargs="+", help="S: l k | T: k x1..x_{k+1} | P: l k")
+    p.add_argument("-o", "--output", help="output file (default: stdout)")
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        output=getattr(args, "output", None),
-        format=getattr(args, "format", "csv"),
-        max_level=getattr(args, "max_level", 3),
-        levels=list(getattr(args, "level", [])),
-        measures=list(getattr(args, "measure", [])),
-        families=list(getattr(args, "families", [])),
-        alpha=getattr(args, "alpha", None),
-        normalized=not getattr(args, "unnormalized", False),
-        seed=getattr(args, "seed", 0),
-        repetitions=getattr(args, "repetitions", 100),
-        grid=list(getattr(args, "grid", [])),
-        annotations=getattr(args, "annotations", None),
-        dense_limit=getattr(args, "dense_limit", DEFAULT_DENSE_LIMIT),
-    )
-    cfg.validate()
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        if args.command == "build":
-            return _cmd_build(cfg)
-        if args.command == "centrality":
-            return _cmd_centrality(cfg)
-        if args.command == "distance":
-            return _cmd_distance(cfg)
-        if args.command == "fit-degree":
-            return _cmd_fit_degree(cfg)
-        if args.command == "correlate":
-            return _cmd_correlate(cfg)
-        if args.command == "essential":
-            return _cmd_essential(cfg)
-        if args.command == "generate":
-            return _cmd_generate(cfg, args.family, list(args.params))
-        raise ValueError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse refused the command line (2) or printed --help or --version (0)
+        return exc.code
+    try:
+        return args.run(args)
     except InsufficientDepthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -116,6 +117,7 @@ class TestGenerate:
         out = capsys.readouterr().out
         edges = [l for l in out.splitlines() if not l.startswith("#")]
         assert edges == ["0 1", "1 2", "2 3"]
+        assert "# generated family=P params=[3, 1]" in out.splitlines()
 
     def test_unknown_family_exit_2(self, capsys):
         assert main(["generate", "Q", "3", "1"]) == 2
@@ -144,7 +146,9 @@ class TestCentrality:
         payload = json.loads(open(out).read())
         assert payload["metadata"]["version"]
         assert payload["metadata"]["command"] == "centrality"
-        assert payload["metadata"]["seed"] == 0
+        # the options centrality takes; --alpha is unset and --threads is never echoed
+        assert set(payload["metadata"]) == {"command", "input", "output", "format", "max_level", "levels",
+                                            "measures", "normalized", "dense_limit", "version"}
         assert len(payload["rows"]) == 9
 
     def test_level_beyond_depth_exit_4(self, fig_file):
@@ -234,6 +238,17 @@ class TestDistance:
         assert main(["distance", str(edge_file), "--level", "1", "-o", str(tmp_path / "d.csv")]) == 0
         out = capsys.readouterr().out
         assert "2 components [3+1], diameter 2, avg path length per component [1.33333333333;NA]" in out
+
+    @pytest.mark.parametrize("levels", ["3", "1,3"])
+    def test_empty_level_exits_2_naming_it(self, tmp_path, capsys, levels):
+        edge_file = tmp_path / "pendant.txt"
+        edge_file.write_text("1 2\n1 3\n2 3\n3 4\n")
+        out = tmp_path / "d.csv"
+        assert main(["distance", str(edge_file), "--level", levels, "--max-level", "4", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "level 3 has no simplices" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_every_exit_0_eccentricity_is_finite(self, small_file, tmp_path):
         ran = 0
@@ -346,9 +361,8 @@ class TestEssential:
         assert ran
 
     def test_missing_annotations_flag_errors(self, fig_file, capsys):
-        with pytest.raises(SystemExit) as err:
-            main(["essential", fig_file])
-        assert err.value.code == 2
+        assert main(["essential", fig_file]) == 2
+        assert "--annotations" in capsys.readouterr().err
 
 
 def test_threads_flag_does_not_change_results(fig_file, tmp_path):
@@ -363,9 +377,10 @@ def test_threads_flag_does_not_change_results(fig_file, tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fit-degree", "--level", "1", "--families", "gamma,gamma,normal"], "--families lists 'gamma' more than once"),
-    (["correlate", "--level", "1", "--measure", "degree,degree"], "--measure lists 'degree' more than once"),
-    (["distance", "--level", "1,2,1"], "--level lists 1 more than once"),
+    (["fit-degree", "--level", "1", "--families", "gamma,gamma,normal"],
+     "argument --families: lists 'gamma' more than once"),
+    (["correlate", "--level", "1", "--measure", "degree,degree"], "argument --measure: lists 'degree' more than once"),
+    (["distance", "--level", "1,2,1"], "argument --level: lists 1 more than once"),
 ], ids=["families", "measure", "level"])
 def test_repeated_value_exits_2_naming_it(fig_file, tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
@@ -388,9 +403,7 @@ def test_repeated_value_exits_2_naming_it(fig_file, tmp_path, capsys, argv, mess
         "families", "grid"])
 def test_empty_list_exits_2_naming_it(fig_file, tmp_path, capsys, argv, option):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as err:
-        main([argv[0], fig_file, *argv[1:], "-o", str(out)])
-    assert err.value.code == 2
+    assert main([argv[0], fig_file, *argv[1:], "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert f"argument {option}: expected at least one comma-separated value" in captured.err
     assert captured.out == ""
@@ -409,15 +422,90 @@ def test_metadata_lines_echo_config(fig_file, tmp_path):
 
 
 def test_matrix_limit_option_removed(fig_file, capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["distance", fig_file, "--matrix-limit", "10"])
-    assert err.value.code == 2
+    assert main(["distance", fig_file, "--matrix-limit", "10"]) == 2
     assert "--matrix-limit" in capsys.readouterr().err
+
+
+TABLE_OPTIONS = {"-h", "--help", "--max-level", "-o", "--output", "--format", "--threads"}
+COMMAND_OPTIONS = {  # what each subcommand reads, beyond its input file and TABLE_OPTIONS
+    "build": set(),
+    "centrality": {"--level", "--measure", "--alpha", "--unnormalized", "--dense-limit"},
+    "distance": {"--level"},
+    "fit-degree": {"--level", "--families"},
+    "correlate": {"--level", "--measure", "--dense-limit"},
+    "essential": {"--annotations", "--level", "--measure", "--grid", "--seed", "--repetitions", "--dense-limit"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OPTIONS) + ["generate"])
+def test_each_command_takes_exactly_its_options(command):
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = sub.choices[command]
+    options = {s for action in parser._actions for s in action.option_strings}
+    positionals = [action.dest for action in parser._actions if not action.option_strings]
+    if command == "generate":
+        assert options == {"-h", "--help", "-o", "--output"}
+        assert positionals == ["family", "params"]
+    else:
+        assert options == TABLE_OPTIONS | COMMAND_OPTIONS[command]
+        assert positionals == ["input"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["generate", "S", "3", "1", "--seed", "5"], "--seed"),
+    (["generate", "S", "3", "1", "--format", "json"], "--format"),
+    (["build", "FIG", "--dense-limit", "1"], "--dense-limit"),
+    (["distance", "FIG", "--dense-limit", "1"], "--dense-limit"),
+    (["fit-degree", "FIG", "--dense-limit", "1"], "--dense-limit"),
+], ids=["generate-seed", "generate-format", "build-dense-limit", "distance-dense-limit", "fit-degree-dense-limit"])
+def test_option_a_command_does_not_read_exits_2(fig_file, capsys, argv, option):
+    assert main([fig_file if a == "FIG" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {option}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--max-level", "-1"], "argument --max-level: -1 is not >= 0"),
+    (["centrality", "--level", "1", "--measure", "katz", "--alpha", "0"], "argument --alpha: 0.0 is not > 0"),
+    (["centrality", "--level", "1", "--measure", "katz", "--alpha", "nan"], "argument --alpha: nan is not > 0"),
+    (["centrality", "--measure", "degree,pagerank"], "argument --measure: unknown value 'pagerank'"),
+    (["fit-degree", "--families", "gamma,zipf"], "argument --families: unknown value 'zipf'"),
+    (["essential", "--annotations", "ann.txt", "--grid", "10,101"], "argument --grid: 101.0 is not in (0, 100]"),
+    (["essential", "--annotations", "ann.txt", "--grid", "0"], "argument --grid: 0.0 is not in (0, 100]"),
+    (["essential", "--annotations", "ann.txt", "--repetitions", "0"], "argument --repetitions: 0 is not >= 1"),
+    (["distance", "--level", "1,x"], "argument --level: invalid int value: '1,x'"),
+    (["centrality", "--level", "0,-1", "--measure", "degree"], "argument --level: -1 is not >= 0"),
+], ids=["max-level", "alpha-zero", "alpha-nan", "measure", "families", "grid-above", "grid-zero", "repetitions",
+        "level-not-int", "level-negative"])
+def test_bad_value_exits_2_naming_the_option(fig_file, tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert main([argv[0], fig_file, *argv[1:], "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_metadata_is_the_accepted_options(fig_file, tmp_path):
+    """Every option a command accepted is echoed as parsed, under its
+    destination name; nothing else is."""
+    out = tmp_path / "ess.json"
+    ann = tmp_path / "ann.txt"
+    ann.write_text("1 1\n2 0\n")
+    assert main(["essential", fig_file, "--annotations", str(ann), "--level", "0,2", "--measure", "degree",
+                 "--grid", "10,50", "--seed", "7", "--repetitions", "5", "--max-level", "4", "--threads", "2",
+                 "--format", "json", "-o", str(out)]) == 0
+    meta = json.loads(out.read_text())["metadata"]
+    assert meta == {"command": "essential", "input": fig_file, "max_level": 4, "output": str(out), "format": "json",
+                    "levels": [0, 2], "measures": ["degree"], "dense_limit": cli.DEFAULT_DENSE_LIMIT,
+                    "annotations": str(ann), "grid": [10.0, 50.0], "seed": 7, "repetitions": 5,
+                    "version": cli.__version__}
 
 
 # Labels with commas, quotes and non-ASCII text: a triangle, a tail and a pendant.
 LABELED_EDGES = 'a,b "q"\n"q" é\né a,b\né 日本\n日本 x"y\nx"y "q"\nplain a,b\n'
-SPECIAL_CELLS = {  # per measure: NA, inf, -0, and whole numbers on both sides of .12g's exponent switch
+SPECIAL_CELLS = {  # per measure: NA, inf, -inf, -0, and whole numbers on both sides of .12g's exponent switch
     "degree": [999999999999.0, -3.0, 0.0, 7.0],
     "harmonic": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1 / 3, 123456789012345.0, 2.5e16, -7.0],
     "closeness": [1e12, 2.0, 5.0],
@@ -432,24 +520,24 @@ def _oracle_fmt(value):
         if math.isnan(value):
             return "NA"
         if math.isinf(value):
-            return "inf"
+            return "inf" if value > 0 else "-inf"
         return format(value, ".12g")
     return str(value)
 
 
 def _row_oracle(argv, columns, rows):
     """The output text written one row and one value at a time."""
-    cfg = cli._config_from(cli._build_parser().parse_args(argv))
-    if cfg.format == "json":
+    args = cli._build_parser().parse_args(argv)
+    if args.format == "json":
         payload = {
-            "metadata": cfg.metadata(),
+            "metadata": cli._metadata(args),
             "columns": columns,
             "rows": [[None if isinstance(v, float) and math.isnan(v) else v for v in row] for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
     buf = io.StringIO()
     buf.write(f"# simplicent {cli.__version__}\n")
-    buf.write(f"# config: {json.dumps(cfg.metadata(), sort_keys=True)}\n")
+    buf.write(f"# config: {json.dumps(cli._metadata(args), sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -497,8 +585,8 @@ class TestColumnOutput:
         want = _row_oracle(argv, ["level", "id", "vertices"] + measures, rows)
         assert out.read_bytes() == want.encode("utf-8")
         if fmt == "csv":  # the oracle saw every awkward label and cell
-            for cell in ('"a,b,""q"",é"', '"日本,x""y"', ",NA,", ",inf,", ",-0,", "1e-300", "1.23456789012e+14",
-                         ",999999999999,", ",1e+12\n", ",-3,"):
+            for cell in ('"a,b,""q"",é"', '"日本,x""y"', ",NA,", ",inf,", ",-inf,", ",-0,", "1e-300",
+                         "1.23456789012e+14", ",999999999999,", ",1e+12\n", ",-3,"):
                 assert cell in want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
