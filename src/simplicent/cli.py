@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -323,6 +324,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process; every call of main parses with it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplicent",
@@ -334,7 +336,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name, run, summary, levels=None, measures=None, dense_limit=False) -> argparse.ArgumentParser:
         """A subcommand that reads an edge list and writes a CSV/JSON table.
         It takes ``--level`` and ``--measure`` only when given their defaults,
-        and ``--dense-limit`` only when asked to."""
+        and ``--dense-limit`` only when asked to.  List defaults are given as
+        text, which argparse converts on every parse, so no parsed list is
+        shared between runs of the cached parser."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
         p.add_argument("input", help="edge-list file (two labels per line, '#' comments)")
@@ -347,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         if levels:
             p.add_argument("--level", type=_comma_list(_level), default=levels, dest="levels",
-                           help=f"comma-separated levels (default {','.join(map(str, levels))})")
+                           help=f"comma-separated levels (default {levels})")
         if measures:
             p.add_argument("--measure", type=_comma_list(known=MEASURES), default=measures, dest="measures",
                            help=f"comma-separated measures from {','.join(MEASURES)} (default {measures})")
@@ -360,25 +364,25 @@ def _build_parser() -> argparse.ArgumentParser:
     command("build", _cmd_build, "lift an edge list and print per-level counts")
 
     p = command("centrality", _cmd_centrality, "simplex centralities as CSV/JSON",
-                [0, 1, 2], "degree,closeness,subgraph", dense_limit=True)
+                "0,1,2", "degree,closeness,subgraph", dense_limit=True)
     p.add_argument("--alpha", type=_checked(float, lambda a: a > 0, "> 0"),
                    help="Katz damping (default 0.5/lambda1)")
     p.add_argument("--unnormalized", action="store_false", dest="normalized",
                    help="report raw closeness/betweenness")
 
-    command("distance", _cmd_distance, "per-level path summaries and eccentricities", [0, 1, 2])
+    command("distance", _cmd_distance, "per-level path summaries and eccentricities", "0,1,2")
 
-    p = command("fit-degree", _cmd_fit_degree, "fit degree distributions and select a model", [0])
+    p = command("fit-degree", _cmd_fit_degree, "fit degree distributions and select a model", "0")
     p.add_argument("--families", type=_comma_list(known=FAMILIES), default=",".join(FAMILIES))
 
     command("correlate", _cmd_correlate, "Spearman correlations between rankings",
-            [0, 1, 2], "degree,subgraph,closeness", dense_limit=True)
+            "0,1,2", "degree,subgraph,closeness", dense_limit=True)
 
     p = command("essential", _cmd_essential, "essential-node detection curves",
-                [0, 1, 2], "degree,closeness,subgraph", dense_limit=True)
+                "0,1,2", "degree,closeness,subgraph", dense_limit=True)
     p.add_argument("--annotations", required=True, help="file of 'label 0|1' lines")
     p.add_argument("--grid", type=_comma_list(_checked(float, lambda x: 0 < x <= 100, "in (0, 100]"), distinct=False),
-                   default=list(DEFAULT_GRID), help="top-percentage grid (default 1,3,5,10,15,20,25)")
+                   default=",".join(map(str, DEFAULT_GRID)), help="top-percentage grid (default 1,3,5,10,15,20,25)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repetitions", type=_checked(int, lambda r: r >= 1, ">= 1"), default=100)
 

@@ -102,7 +102,8 @@ class EdgeListReport:
 def parse_edge_list(lines: Iterable[str] | TextIO) -> tuple[Graph, EdgeListReport]:
     """Parse a plain-text edge list: one edge per line, two whitespace-separated
     labels, lines starting with ``#`` ignored.  Duplicate edges and self-loops
-    are dropped and counted in the report.
+    are dropped and counted in the report.  A label with a comma is refused,
+    after any line with the wrong number of labels.
 
     ``lines`` is an open text file, read whole and split at ``"\\n"``, or any
     iterable of lines.  Nodes are numbered in the order their labels first
@@ -121,7 +122,11 @@ def parse_edge_list(lines: Iterable[str] | TextIO) -> tuple[Graph, EdgeListRepor
     bad = np.flatnonzero((widths != 0) & (widths != 2) & ~comment)
     if bad.size:
         raise ValueError(f"line {bad[0] + 1}: expected two labels, got {widths[bad[0]]}")
-    tokens = " ".join(itertools.compress(lines, (~comment).tolist())).split()
+    text = " ".join(itertools.compress(lines, (~comment).tolist()))
+    if "," in text:  # simplex labels join node labels with commas, so they would be ambiguous
+        first = next(i for i in np.flatnonzero(~comment).tolist() if "," in lines[i])
+        raise ValueError(f"line {first + 1}: node labels must not contain ','")
+    tokens = text.split()
     index = dict.fromkeys(tokens)  # first-appearance order
     labels = list(index)
     index.update(zip(labels, itertools.count()))

@@ -8,14 +8,19 @@ IEEE infinity, never a large stand-in, so that ``1/inf == 0`` holds exactly
 where harmonic sums need it.
 
 Every traversal works on blocks of at most ``BLOCK_SIZE`` sources at a time,
-so its memory stays near ``BLOCK_SIZE * n`` floats: :func:`distance_blocks`
-yields breadth-first distance rows from ``scipy.sparse.csgraph``, and
-:func:`pair_dependencies` runs Brandes' dependency recursion level by level
-as sparse-times-dense products over the block.  Components come from
-``csgraph.connected_components``.
-
-Each level's distance rows are reduced in one cached pass, which
-:func:`level_summary`, closeness and harmonic closeness all read.
+no more than the 64 bits of one word.  Each level's eccentricities, farness and
+harmonic sums come from one cached pass, which :func:`level_summary`,
+closeness and harmonic closeness all read.  The pass is a multi-source
+breadth-first search with bit-parallel frontiers (Then et al., PVLDB 8(4),
+2014): per block, one uint64 word per simplex marks the sources that have
+reached it, and each step ORs the words of every simplex's neighbours, so
+the pass keeps n words per block and forms no distance rows.  Each step
+costs numpy calls over the whole level, so a level whose diameter exceeds
+``DEPTH_LIMIT`` is reduced instead from the distance rows of
+:func:`distance_blocks`, a per-source search in ``scipy.sparse.csgraph``
+that also fills :func:`shortest_distances`.  :func:`pair_dependencies` runs
+Brandes' dependency recursion level by level as sparse-times-dense products
+over the blocks.  Components come from ``csgraph.connected_components``.
 """
 
 from __future__ import annotations
@@ -31,10 +36,23 @@ from .adjacency import combined_adjacency
 from .complexes import CliqueComplex
 
 DEFAULT_MATRIX_LIMIT = 20_000
-BLOCK_SIZE = 64  # sources per traversal block
+WORD = 64  # bits per frontier word
+BLOCK_SIZE = WORD  # sources per traversal block, at most one word
+# A block still reaching new simplices after this many bit steps sends its
+# level to the per-source csgraph search.  The depth at which a block of bit
+# steps costs as much as 64 csgraph searches measured 13-21 on ladder-shaped
+# levels, 22-27 on paths of up to 200 simplices and 27-132 on larger paths,
+# grids and BA levels; 16 sits at the low end, so a deep level wastes at most
+# 16 steps before it falls back.
+DEPTH_LIMIT = 16
+# the word with only source j's bit set, where np.unpackbits(bitorder="little")
+# of the word's bytes puts it: at position j, whatever the byte order
+_SOURCE_BITS = np.packbits(np.eye(WORD, dtype=np.uint8), axis=1, bitorder="little").view(np.uint64).ravel()
 
 
 def _source_blocks(n: int) -> Iterator[np.ndarray]:
+    if not 1 <= BLOCK_SIZE <= WORD:
+        raise ValueError(f"BLOCK_SIZE must be between 1 and {WORD}, the sources one word holds; got {BLOCK_SIZE}")
     for start in range(0, n, BLOCK_SIZE):
         yield np.arange(start, min(start + BLOCK_SIZE, n))
 
@@ -144,6 +162,64 @@ class LevelPathSummary:
     eccentricities: np.ndarray
 
 
+def _bit_distances(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Per simplex of the symmetric adjacency ``mat``: eccentricity, farness
+    and harmonic sum, by bit-parallel multi-source BFS; ``None`` when some
+    source still reaches new simplices after ``DEPTH_LIMIT`` steps.
+
+    Isolated simplices score 0 and take no part.  A block's steps keep the
+    words that gained bits at each depth d; their bits, summed per source,
+    count the simplices each source reaches at distance d.  Farness adds
+    d times the count, and the harmonic sum count / d in depth order, so a
+    source's sum does not depend on the block it ran in.
+    """
+    n = mat.shape[0]
+    linked = np.flatnonzero(np.diff(mat.indptr))  # the simplices with a neighbour
+    remap = np.zeros(n, dtype=np.intp)
+    remap[linked] = np.arange(linked.size)
+    neighbours, starts = remap[mat.indices], mat.indptr[linked]
+    ecc, farness, harmonic = np.zeros(n), np.zeros(n), np.zeros(n)
+    for block in _source_blocks(linked.size):
+        frontier = np.zeros(linked.size, dtype=np.uint64)
+        frontier[block] = _SOURCE_BITS[: block.size]
+        unseen = ~frontier
+        layers = []  # per depth, the words that gained bits there
+        while True:
+            new = np.bitwise_or.reduceat(frontier[neighbours], starts)
+            new &= unseen
+            changed = new.nonzero()[0]
+            if not changed.size:
+                break
+            if len(layers) == DEPTH_LIMIT:
+                return None
+            unseen ^= new
+            frontier = new
+            layers.append(new[changed])
+        bits = np.unpackbits(np.concatenate(layers).view(np.uint8), bitorder="little").reshape(-1, WORD)
+        firsts = np.cumsum([0] + [len(words) for words in layers[:-1]])
+        counts = np.add.reduceat(bits, firsts, axis=0, dtype=np.int64)[:, : block.size]
+        depth = np.arange(1, len(layers) + 1)
+        src = linked[block]
+        ecc[src] = np.max((counts > 0) * depth[:, None], axis=0)
+        farness[src] = depth @ counts
+        harmonic[src] = np.cumsum(counts / depth[:, None], axis=0)[-1]
+    return ecc, farness, harmonic
+
+
+def _csgraph_distances(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_bit_distances` for a deep level, reduced from the rows of
+    :func:`distance_blocks`; the harmonic sums add along each row."""
+    n = mat.shape[0]
+    ecc, farness, harmonic = np.zeros(n), np.zeros(n), np.zeros(n)
+    for block, rows in distance_blocks(mat):
+        rows[np.arange(block.size), block] = np.inf  # so the source adds 1/inf == 0 too
+        harmonic[block] = np.reciprocal(rows).sum(axis=1)
+        rows[np.isinf(rows)] = 0.0
+        ecc[block] = rows.max(axis=1)
+        farness[block] = rows.sum(axis=1)
+    return ecc, farness, harmonic
+
+
 def _level_distances(c: CliqueComplex, k: int) -> tuple[ComponentLabeling, np.ndarray, np.ndarray, np.ndarray]:
     """The one distance pass of level k: its components, and per simplex the
     eccentricity, the farness (sum of finite distances) and the harmonic sum
@@ -153,15 +229,12 @@ def _level_distances(c: CliqueComplex, k: int) -> tuple[ComponentLabeling, np.nd
     if cached is None:
         adj = combined_adjacency(c, k)
         labeling = connected_components(c, k)
-        ecc, farness, harmonic = np.zeros(adj.n), np.zeros(adj.n), np.zeros(adj.n)
-        for block, rows in distance_blocks(adj.mat):
-            harmonic[block] = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0).sum(axis=1)
-            rows[~np.isfinite(rows)] = 0.0
-            ecc[block] = rows.max(axis=1)
-            farness[block] = rows.sum(axis=1)
-        for arr in (labeling.labels, ecc, farness, harmonic):
+        reductions = _bit_distances(adj.mat)
+        if reductions is None:
+            reductions = _csgraph_distances(adj.mat)
+        for arr in (labeling.labels, *reductions):
             arr.flags.writeable = False
-        cached = c._distances[k] = (labeling, ecc, farness, harmonic)
+        cached = c._distances[k] = (labeling, *reductions)
     return cached
 
 

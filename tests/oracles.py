@@ -19,7 +19,8 @@ from simplicent import EdgeListReport, Graph, build_clique_complex, combined_adj
 def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
     """The edge-list parser as a loop over lines: strip, skip blanks and
     ``#`` comments, split into two labels, number labels as they appear,
-    and drop self-loops and repeated edges through a set of pairs."""
+    and drop self-loops and repeated edges through a set of pairs.  A label
+    with a comma is refused once every line has the right number of labels."""
     report = EdgeListReport()
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -31,6 +32,7 @@ def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
             labels.append(lab)
         return index[lab]
 
+    comma_line = None
     for lineno, raw in enumerate(lines, start=1):
         report.lines += 1
         line = raw.strip()
@@ -42,6 +44,8 @@ def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected two labels, got {len(parts)}")
+        if comma_line is None and any("," in part for part in parts):
+            comma_line = lineno
         u, v = node(parts[0]), node(parts[1])
         if u == v:
             report.dropped_self_loops += 1
@@ -51,6 +55,8 @@ def line_loop_parse(lines) -> tuple[Graph, EdgeListReport]:
             report.dropped_duplicates += 1
             continue
         edges.add(e)
+    if comma_line is not None:
+        raise ValueError(f"line {comma_line}: node labels must not contain ','")
     report.edges = len(edges)
     return Graph(labels, edges), report
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from simplicent import (
     write_edge_list,
 )
 from simplicent.cli import main
+from simplicent.essential import DEFAULT_GRID
 
 
 @pytest.fixture()
@@ -74,6 +76,12 @@ class TestBuild:
         bad.write_text("a b\none two three\n")
         assert main(["build", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_comma_in_a_label_exits_2_naming_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "commas.txt"
+        bad.write_text("# a,b in a comment\na b\na,b c\n")
+        assert main(["build", str(bad)]) == 2
+        assert f"{bad}: line 3: node labels must not contain ','" in capsys.readouterr().err
 
     def test_dropped_edges_warned_once(self, tmp_path):
         edges = tmp_path / "dups.txt"
@@ -503,8 +511,34 @@ def test_metadata_is_the_accepted_options(fig_file, tmp_path):
                     "version": cli.__version__}
 
 
-# Labels with commas, quotes and non-ASCII text: a triangle, a tail and a pendant.
-LABELED_EDGES = 'a,b "q"\n"q" é\né a,b\né 日本\n日本 x"y\nx"y "q"\nplain a,b\n'
+def test_parser_is_built_once_and_runs_share_no_lists(fig_file, tmp_path):
+    """Every run parses with one cached parser, yet each run's list options
+    are its own: given values do not leak into the next run, and neither
+    does a change a run makes to its defaults."""
+    assert cli._build_parser() is cli._build_parser()
+    ann = tmp_path / "ann.txt"
+    ann.write_text("1 1\n2 0\n")
+    out = tmp_path / "ess.json"
+    default_grid = list(DEFAULT_GRID)
+    for levels, grid in (([1], [5.0, 50.0]), (None, None), ([0, 2], None), (None, [10.0]), (None, None)):
+        argv = ["essential", fig_file, "--annotations", str(ann), "--measure", "degree", "--repetitions", "2",
+                "--format", "json", "-o", str(out)]
+        argv += ["--level", ",".join(map(str, levels))] if levels else []
+        argv += ["--grid", ",".join(map(str, grid))] if grid else []
+        assert main(argv) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert meta["levels"] == (levels or [0, 1, 2]) and meta["grid"] == (grid or default_grid)
+    parse = functools.partial(cli._build_parser().parse_args, ["essential", fig_file, "--annotations", "a"])
+    first, second = parse(), parse()
+    assert first.levels is not second.levels and first.grid is not second.grid
+    first.levels.append(7)
+    first.grid.clear()
+    assert parse().levels == [0, 1, 2] and parse().grid == default_grid
+
+
+# Labels with semicolons, quotes and non-ASCII text, which the comma-joined
+# vertices column must quote: a triangle, a tail and a pendant.
+LABELED_EDGES = 'a;b "q"\n"q" é\né a;b\né 日本\n日本 x"y\nx"y "q"\nplain a;b\n'
 SPECIAL_CELLS = {  # per measure: NA, inf, -inf, -0, and whole numbers on both sides of .12g's exponent switch
     "degree": [999999999999.0, -3.0, 0.0, 7.0],
     "harmonic": [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1 / 3, 123456789012345.0, 2.5e16, -7.0],
@@ -585,7 +619,7 @@ class TestColumnOutput:
         want = _row_oracle(argv, ["level", "id", "vertices"] + measures, rows)
         assert out.read_bytes() == want.encode("utf-8")
         if fmt == "csv":  # the oracle saw every awkward label and cell
-            for cell in ('"a,b,""q"",é"', '"日本,x""y"', ",NA,", ",inf,", ",-inf,", ",-0,", "1e-300",
+            for cell in ('"a;b,""q"",é"', '"日本,x""y"', ",NA,", ",inf,", ",-inf,", ",-0,", "1e-300",
                          "1.23456789012e+14", ",999999999999,", ",1e+12\n", ",-3,"):
                 assert cell in want
 
@@ -610,4 +644,4 @@ class TestColumnOutput:
         ]
         want = _row_oracle(argv, ["level", "id", "vertices", "eccentricity"], rows)
         assert capsys.readouterr().out.endswith(want)
-        assert fmt == "json" or '1,0,"a,b,""q""",-0\n' in want
+        assert fmt == "json" or '1,0,"a;b,""q""",-0\n' in want

@@ -95,7 +95,7 @@ class TestEdgeListParsing:
             "A A\nA B\nC C\n",  # self-loops, one on a label seen nowhere else
             "",
             "\n",
-            "é 日本\n\"q\" a,b\n",
+            "é 日本\n\"q\" a;b\n",
         ],
         ids=["crlf", "no-final-newline", "tabs", "blank", "comments", "duplicates", "self-loops", "empty",
              "newline-only", "unicode"],
@@ -109,6 +109,14 @@ class TestEdgeListParsing:
             want = line_loop_parse(fh)
         for got in (from_file, parse_edge_list(text.splitlines()), parse_edge_list(io.StringIO(text))):
             _assert_same_parse(got, want)
+
+    def test_comma_in_a_label_refused_naming_its_line(self):
+        text = "# x,y\n  #, z\na b\nb c,d\ne,f g\n"
+        for source in (io.StringIO(text), text.splitlines()):
+            with pytest.raises(ValueError, match=r"^line 4: node labels must not contain ','$"):
+                parse_edge_list(source)
+        g, report = parse_edge_list(["# a,b", "a b"])  # a comment may hold commas
+        assert g.labels == ["a", "b"] and report.comments == 1
 
     def test_counts_and_first_appearance_order(self):
         g, report = parse_edge_list(io.StringIO("# h\nz y\nq q\ny z\n\nx z\nz y\n"))

@@ -11,6 +11,7 @@ from conftest import sid
 from oracles import er_blocks_graph, er_graph, floyd_warshall
 from simplicent import paths
 from simplicent import (
+    Graph,
     build_clique_complex,
     closeness,
     combined_adjacency,
@@ -189,17 +190,81 @@ def test_block_kernel_matches_floyd_warshall(seed, monkeypatch):
                 assert math.isnan(summary.diameter)
 
 
+def _depth_ordered_harmonic(row: np.ndarray) -> float:
+    """Sum over depths d >= 1, nearest first, of (count at d) / d."""
+    total = 0.0
+    for d in range(1, int(row[np.isfinite(row)].max()) + 1):
+        total += np.count_nonzero(row == d) / d
+    return total
+
+
+def _branch_inputs(limit=paths.DEPTH_LIMIT):  # the module's limit, not a patched one
+    for seed in range(6):
+        c = build_clique_complex(er_blocks_graph(np.random.default_rng(1300 + seed)), 5)
+        yield from ((c, k) for k in range(c.max_level))
+    for l in (2, limit + 1, limit + 2, 40):  # diameter l - 1, on both sides of the limit
+        yield generate_P(l, 1), 1
+        yield generate_P(l, 2), 2
+    for l in (2, 5):
+        yield generate_S(l, 2), 2
+    for size in (63, 64, 65, 129):  # one word, one bit more, and a block's bit 63
+        yield generate_S(size, 1), 1
+        yield generate_P(size, 1), 1
+
+
+@pytest.mark.parametrize("limit", [0, 10**9], ids=["csgraph", "bits"])
+def test_each_branch_of_the_distance_pass_matches_floyd_warshall(limit, monkeypatch):
+    monkeypatch.setattr(paths, "DEPTH_LIMIT", limit)
+    branches = []
+    monkeypatch.setattr(paths, "_csgraph_distances", lambda mat, run=paths._csgraph_distances: branches.append(1) or run(mat))
+    for c, k in _branch_inputs():
+        adj = combined_adjacency(c, k).mat
+        reference = floyd_warshall(adj.toarray())
+        finite = np.where(np.isfinite(reference), reference, 0.0)
+        _, ecc, farness, harmonic = paths._level_distances(c, k)
+        assert (ecc == finite.max(axis=1, initial=0.0)).all()
+        assert (farness == finite.sum(axis=1)).all()
+        want = np.divide(1.0, reference, out=np.zeros_like(reference), where=reference > 0).sum(axis=1)
+        assert (np.abs(harmonic - want) <= 1e-12 * np.maximum(want, 1.0)).all()
+        if limit:  # the bit kernel adds each source's terms in depth order
+            assert list(harmonic) == [_depth_ordered_harmonic(row) for row in reference]
+        assert len(branches) == (0 if limit else int(adj.nnz > 0))
+        branches.clear()
+
+
+def test_a_level_deeper_than_the_limit_goes_to_csgraph_whatever_its_block(monkeypatch):
+    searched = []
+    monkeypatch.setattr(paths, "_csgraph_distances", lambda mat, run=paths._csgraph_distances: searched.append(1) or run(mat))
+    limit = paths.DEPTH_LIMIT
+    for l in (limit + 1, limit + 2):
+        paths._level_distances(generate_P(l, 1), 1)
+        assert len(searched) == (l - 1 > limit)  # diameter l - 1
+    # a star's 70 edges fill the first block; the deep path's edges come in the second
+    star = [(0, leaf) for leaf in range(1, 71)]
+    path = [(v, v + 1) for v in range(71, 71 + limit + 2)]
+    c = build_clique_complex(Graph([str(v) for v in range(72 + limit + 2)], star + path), 2)
+    searched.clear()
+    _, ecc, _, _ = paths._level_distances(c, 1)
+    assert searched == [1] and ecc.max() == limit + 1
+
+
+def test_block_size_above_one_word_refused(monkeypatch):
+    monkeypatch.setattr(paths, "BLOCK_SIZE", paths.WORD + 1)
+    with pytest.raises(ValueError, match="BLOCK_SIZE must be between 1 and 64"):
+        level_summary(example_complex(3), 1)
+
+
 class TestDistancePass:
     def test_one_traversal_serves_every_path_statistic(self, monkeypatch):
         c = example_complex(3)  # not the shared fixture, whose passes other tests may have cached
-        original = paths.distance_blocks
+        original = paths._bit_distances
         calls = []
 
         def counted(mat):
             calls.append(mat.shape[0])
             return original(mat)
 
-        monkeypatch.setattr(paths, "distance_blocks", counted)
+        monkeypatch.setattr(paths, "_bit_distances", counted)
         for k in range(3):
             closeness(c, k)
             harmonic_closeness(c, k)
